@@ -1,8 +1,8 @@
-//! Capacity-planner search benchmark: what the analytical bound, the
-//! calibration cache, and parallel probing each buy over a naive
-//! exhaustive scan of the same candidate lattice.
+//! Capacity-planner search benchmark: what the analytical bound and
+//! calibrating once per template each buy over a naive exhaustive
+//! scan of the same candidate lattice.
 //!
-//! Four searches of one scenario — OPT-175B (compressed) on Optane
+//! Three searches of one scenario — OPT-175B (compressed) on Optane
 //! main memory, Poisson traffic against a fixed per-request SLO —
 //! each returning a minimum-resource cluster configuration:
 //!
@@ -11,24 +11,22 @@
 //!    probe (what `run_cluster_mix` does when called cold);
 //! 2. **exhaustive+cache**: the same scan drawing service models from
 //!    one shared [`CalibrationCache`];
-//! 3. **planner (serial)**: [`helm_core::planner::plan`] at one
-//!    thread — bound pruning + cache + first-confirmed early exit;
-//! 4. **planner (parallel)**: the same at four threads.
+//! 3. **planner**: [`helm_core::planner::plan`] — bound pruning +
+//!    calibrate-once + first-confirmed early exit.
 //!
 //! Hard gates (the run errors, not warns):
 //!
 //! * the planner must land on the same minimum replica count as the
 //!   exhaustive scan, and both must confirm feasible — pruning may
 //!   not change the answer, only the cost of finding it;
-//! * `exhaustive / planner(serial)` wall time must clear
-//!   [`SPEEDUP_FLOOR`];
-//! * the planner's report must be byte-identical across one and four
-//!   threads and across repeated runs (wall time zeroed first);
+//! * `exhaustive / planner` wall time must clear [`SPEEDUP_FLOOR`];
+//! * the planner's report must be byte-identical across repeated runs
+//!   (wall time zeroed first);
 //! * the winner's full-length confirmation must meet the target with
 //!   a clean conservation-audit ledger.
 //!
-//! Results land in `output/BENCH_planner.json`, with the cache,
-//! pruning, and parallelism contributions reported separately.
+//! Results land in `output/BENCH_planner.json`, with the cache and
+//! pruning contributions reported separately.
 //! `--quick` shrinks the lattice and request volume for CI smoke
 //! runs.
 
@@ -38,7 +36,7 @@ use bench::section;
 use helm_core::exec::RecordMode;
 use helm_core::online::{
     run_cluster_mix, run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec,
-    DeadlineSpec, PoissonArrivals, SchedulerKind, StepGranularity,
+    DeadlineSpec, PoissonArrivals, SchedulerKind,
 };
 use helm_core::planner::{plan, PlanReport, PlanSpace, PlanTarget, SearchBudget, TrafficSpec};
 use helm_core::policy::Policy;
@@ -49,7 +47,7 @@ use llm::ModelConfig;
 use simcore::time::SimDuration;
 use workload::WorkloadSpec;
 
-/// Hard floor on `exhaustive / planner(serial)` wall time. The bound
+/// Hard floor on `exhaustive / planner` wall time. The bound
 /// and the calibration cache together measure orders of magnitude
 /// above this; 2x is the regression line the planner must never drop
 /// below.
@@ -106,7 +104,7 @@ fn mixes_of(total: usize, templates: usize) -> Vec<Vec<usize>> {
 /// The naive baseline: walk the lattice cheapest level first in plain
 /// enumeration order, probe every candidate (no bound), confirm the
 /// first probe that clears the target — the planner's semantics with
-/// all three perf layers stripped out. `cache` switches between cold
+/// its work avoidance stripped out. `cache` switches between cold
 /// per-probe calibration and the shared memo.
 fn naive_scan(
     servers: &[Server],
@@ -196,7 +194,7 @@ fn naive_scan(
 }
 
 /// Debug-renders a plan report with the wall clocks zeroed, for
-/// bit-identity comparison across thread counts and granularities.
+/// bit-identity comparison across repeated runs.
 fn fingerprint(report: &PlanReport) -> String {
     let mut clone = report.clone();
     clone.stats.wall_ms = 0.0;
@@ -252,85 +250,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         memo.calibrations()
     );
 
-    section("planner (bound + cache + early exit)");
-    let serial_budget = SearchBudget {
-        threads: 1,
-        max_evals: 0,
-    };
-    let parallel_budget = SearchBudget {
-        threads: 4,
-        max_evals: 0,
-    };
-    let serial = plan(&server, &workload, &traffic, target, &space, serial_budget)?;
-    let serial_again = plan(&server, &workload, &traffic, target, &space, serial_budget)?;
-    let parallel = plan(
-        &server,
-        &workload,
-        &traffic,
-        target,
-        &space,
-        parallel_budget,
-    )?;
+    section("planner (bound + calibrate-once + early exit)");
+    let budget = SearchBudget::default();
+    let planned = plan(&server, &workload, &traffic, target, &space, budget)?;
+    let rerun = plan(&server, &workload, &traffic, target, &space, budget)?;
     println!(
-        "serial  : {} probed + {} pruned of {} candidates, {:.1} ms, feasible {} at {:?} ({}, {})",
-        serial.stats.evaluated,
-        serial.stats.pruned,
-        serial.candidates,
-        serial.stats.wall_ms,
-        serial.feasible,
-        serial.chosen.counts,
-        serial.chosen.scheduler,
-        serial.chosen.admission
-    );
-    println!(
-        "parallel: {} probed + {} pruned, {:.1} ms (4 threads)",
-        parallel.stats.evaluated, parallel.stats.pruned, parallel.stats.wall_ms
-    );
-
-    section("confirmation granularity (coalesced vs per-step)");
-    let mut step_space = space.clone();
-    step_space.granularity = StepGranularity::PerStep;
-    let per_step = plan(
-        &server,
-        &workload,
-        &traffic,
-        target,
-        &step_space,
-        serial_budget,
-    )?;
-    println!(
-        "coalesced: {:.1} ms in {} confirmation(s); per-step: {:.1} ms in {}",
-        serial.confirm_wall_ms,
-        serial.confirmations,
-        per_step.confirm_wall_ms,
-        per_step.confirmations
+        "planner: {} probed + {} pruned of {} candidates, {:.1} ms ({:.1} ms in {} confirmation(s)), \
+         feasible {} at {:?} ({}, {})",
+        planned.stats.evaluated,
+        planned.stats.pruned,
+        planned.candidates,
+        planned.stats.wall_ms,
+        planned.confirm_wall_ms,
+        planned.confirmations,
+        planned.feasible,
+        planned.chosen.counts,
+        planned.chosen.scheduler,
+        planned.chosen.admission
     );
 
     section("gates");
-    if !serial.feasible || !cold.feasible {
+    if !planned.feasible || !cold.feasible {
         return Err(format!(
             "scenario must be feasible for both searches (planner {}, exhaustive {})",
-            serial.feasible, cold.feasible
+            planned.feasible, cold.feasible
         )
         .into());
     }
-    if serial.attainment < TARGET {
+    if planned.attainment < TARGET {
         return Err(format!(
             "winner misses the SLO target on confirmation: {:.3} < {TARGET}",
-            serial.attainment
+            planned.attainment
         )
         .into());
     }
     let total_naive: usize = cold.counts.iter().sum();
-    if serial.chosen.total_replicas() != total_naive {
+    if planned.chosen.total_replicas() != total_naive {
         return Err(format!(
             "pruning changed the answer: planner uses {} replicas, exhaustive {}",
-            serial.chosen.total_replicas(),
+            planned.chosen.total_replicas(),
             total_naive
         )
         .into());
     }
-    let audit = serial
+    let audit = planned
         .confirmed
         .audit
         .as_ref()
@@ -338,23 +301,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if !audit.is_clean() {
         return Err(format!("confirmation audit ledger dirty: {audit}").into());
     }
-    let reference = fingerprint(&serial);
-    if fingerprint(&serial_again) != reference {
-        return Err("planner diverged across repeated serial runs".into());
+    if fingerprint(&rerun) != fingerprint(&planned) {
+        return Err("planner diverged across repeated runs".into());
     }
-    if fingerprint(&parallel) != reference {
-        return Err("planner diverged between 1 and 4 threads".into());
-    }
-    if fingerprint(&per_step) != reference {
-        return Err("planner diverged between per-step and coalesced granularity".into());
-    }
-    let serial_wall_s = serial.stats.wall_ms / 1000.0;
+    let planner_wall_s = planned.stats.wall_ms / 1000.0;
     let speedup_cache = cold.wall_s / cached.wall_s;
-    let speedup_prune = cached.wall_s / serial_wall_s;
-    let speedup_parallel = serial.stats.wall_ms / parallel.stats.wall_ms;
-    let speedup_total = cold.wall_s / serial_wall_s;
+    let speedup_prune = cached.wall_s / planner_wall_s;
+    let speedup_total = cold.wall_s / planner_wall_s;
     println!("speedup: cache {speedup_cache:.1}x, prune+exit {speedup_prune:.1}x, total {speedup_total:.1}x");
-    println!("parallel 4t vs serial: {speedup_parallel:.2}x (informational)");
     if speedup_total < SPEEDUP_FLOOR {
         return Err(format!(
             "planner regressed: {speedup_total:.2}x over exhaustive is below the \
@@ -373,38 +327,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \"exhaustive_cached\": {{\"probes\": {}, \"wall_ms\": {:.3}, \"calibrations\": {}}},\n  \
          \"planner_serial\": {{\"evaluated\": {}, \"pruned\": {}, \"confirmations\": {}, \
          \"calibrations\": {}, \"wall_ms\": {:.3}, \"confirm_wall_ms\": {:.3}}},\n  \
-         \"planner_parallel\": {{\"threads\": 4, \"wall_ms\": {:.3}}},\n  \
-         \"granularity\": {{\"coalesced_confirm_wall_ms\": {:.3}, \
-         \"per_step_confirm_wall_ms\": {:.3}, \"report_identical\": true}},\n  \
          \"speedup\": {{\"cache\": {speedup_cache:.2}, \"prune\": {speedup_prune:.2}, \
-         \"parallel\": {speedup_parallel:.2}, \"total\": {speedup_total:.2}, \
-         \"floor\": {SPEEDUP_FLOOR}}},\n  \
+         \"total\": {speedup_total:.2}, \"floor\": {SPEEDUP_FLOOR}}},\n  \
          \"winner\": {{\"total_replicas\": {}, \"counts\": {:?}, \"scheduler\": \"{}\", \
          \"admission\": \"{}\", \"attainment\": {:.6}, \"feasible\": {}, \
-         \"thread_bit_identical\": true, \"audit_clean\": true}}\n}}\n",
+         \"rerun_identical\": true, \"audit_clean\": true}}\n}}\n",
         model.name(),
         memory.kind(),
-        serial.candidates,
+        planned.candidates,
         cold.probes,
         cold.wall_s * 1000.0,
         cached.probes,
         cached.wall_s * 1000.0,
         memo.calibrations(),
-        serial.stats.evaluated,
-        serial.stats.pruned,
-        serial.confirmations,
-        serial.calibrations,
-        serial.stats.wall_ms,
-        serial.confirm_wall_ms,
-        parallel.stats.wall_ms,
-        serial.confirm_wall_ms,
-        per_step.confirm_wall_ms,
-        serial.chosen.total_replicas(),
-        serial.chosen.counts,
-        serial.chosen.scheduler,
-        serial.chosen.admission,
-        serial.attainment,
-        serial.feasible,
+        planned.stats.evaluated,
+        planned.stats.pruned,
+        planned.confirmations,
+        planned.calibrations,
+        planned.stats.wall_ms,
+        planned.confirm_wall_ms,
+        planned.chosen.total_replicas(),
+        planned.chosen.counts,
+        planned.chosen.scheduler,
+        planned.chosen.admission,
+        planned.attainment,
+        planned.feasible,
     );
     std::fs::create_dir_all("output")?;
     std::fs::write("output/BENCH_planner.json", &json)?;

@@ -2,7 +2,8 @@
 //!
 //! Supports `--flag value`, `--flag=value`, and boolean `--flag`
 //! switches, with typed accessors and an unknown-flag check so typos
-//! fail loudly.
+//! fail loudly. A flag given twice is an error rather than a silent
+//! last-one-wins.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,7 +32,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Rejects malformed flags (e.g. `---x`).
+    /// Rejects malformed flags (e.g. `---x`) and flags given more than
+    /// once, in either spelling.
     pub fn parse<I, S>(tokens: I) -> Result<Args, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -44,15 +46,16 @@ impl Args {
                 if body.is_empty() || body.starts_with('-') {
                     return Err(ArgError(format!("malformed flag '{tok}'")));
                 }
-                if let Some((key, value)) = body.split_once('=') {
-                    args.flags.insert(key.to_owned(), Some(value.to_owned()));
-                } else {
+                let (key, value) = match body.split_once('=') {
+                    Some((key, value)) => (key, Some(value.to_owned())),
                     // Take the next token as a value unless it is a flag.
-                    let value = match iter.peek() {
-                        Some(next) if !next.starts_with("--") => iter.next(),
-                        _ => None,
-                    };
-                    args.flags.insert(body.to_owned(), value);
+                    None => match iter.peek() {
+                        Some(next) if !next.starts_with("--") => (body, iter.next()),
+                        _ => (body, None),
+                    },
+                };
+                if args.flags.insert(key.to_owned(), value).is_some() {
+                    return Err(ArgError(format!("flag --{key} given more than once")));
                 }
             } else {
                 args.positional.push(tok);
@@ -179,6 +182,20 @@ mod tests {
         let args = Args::parse(["--compress", "--batch", "4"]).unwrap();
         assert!(args.get_bool("compress").unwrap());
         assert_eq!(args.get("batch"), Some("4"));
+    }
+
+    #[test]
+    fn repeated_flags_rejected() {
+        for tokens in [
+            &["--batch", "4", "--batch", "8"][..],
+            &["--batch=4", "--batch=8"],
+            &["--batch", "4", "--batch=8"],
+            &["--compress", "--compress"],
+        ] {
+            let err = Args::parse(tokens.iter().copied()).unwrap_err();
+            let flag = tokens[0].split('=').next().unwrap_or_default();
+            assert_eq!(err.to_string(), format!("flag {flag} given more than once"));
+        }
     }
 
     #[test]

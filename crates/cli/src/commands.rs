@@ -27,7 +27,6 @@ pub(crate) const SERVE_FLAGS: &[&str] = &[
     "pipelines",
     "scheduler",
     "continuous",
-    "granularity",
     "lambda",
     "requests",
     "seed",
@@ -46,7 +45,6 @@ pub(crate) const PLAN_FLAGS: &[&str] = &[
     "target",
     "max-replicas",
     "probe-requests",
-    "threads",
     "max-evals",
     "slo-tight-ms",
     "slo-loose-ms",
@@ -246,30 +244,48 @@ fn parse_mix(spec: &str) -> Result<Vec<MixGroup>, ArgError> {
 /// under Poisson load, with optional deadlines and admission control.
 fn serve_online(args: &Args) -> Result<(), ArgError> {
     use helm_core::online::{
-        run_cluster, run_cluster_mix, run_cluster_mix_traced, run_cluster_traced, AdmissionPolicy,
-        CalibrationCache, ClusterSpec, DeadlineSpec, PoissonArrivals, SchedulerKind,
-        StepGranularity,
+        run_cluster_mix, run_cluster_mix_traced, AdmissionPolicy, CalibrationCache, ClusterSpec,
+        DeadlineSpec, PoissonArrivals, SchedulerKind,
     };
     use simcore::time::SimDuration;
 
     let json = wants_json(args)?;
     let Session { server, workload } = session(args)?;
-    let mix = args.get("mix").map(parse_mix).transpose()?;
-    if mix.is_some() && args.get("pipelines").is_some() {
+    if args.get("mix").is_some() && args.get("pipelines").is_some() {
         return Err(ArgError(
             "--mix and --pipelines are mutually exclusive (the mix determines the cluster size)"
                 .to_owned(),
         ));
     }
-    let pipelines = args.get_num("pipelines", 1usize)?;
-    if pipelines == 0 {
-        return Err(ArgError("--pipelines must be at least 1".to_owned()));
-    }
+    // One replica-group list for both cluster shapes: the `--mix`
+    // entries, or `--pipelines` copies of the base server.
+    let (groups, servers) = match args.get("mix") {
+        Some(mix) => {
+            let groups = parse_mix(mix)?;
+            let servers = groups
+                .iter()
+                .map(|g| {
+                    server
+                        .reconfigured(g.placement, g.batch)
+                        .map_err(|e| ArgError(e.to_string()))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            (groups, servers)
+        }
+        None => {
+            let pipelines = args.get_num("pipelines", 1usize)?;
+            if pipelines == 0 {
+                return Err(ArgError("--pipelines must be at least 1".to_owned()));
+            }
+            let group = MixGroup {
+                placement: server.policy().placement(),
+                batch: server.policy().effective_batch(),
+                count: pipelines,
+            };
+            (vec![group], vec![server.clone()])
+        }
+    };
     let scheduler: SchedulerKind = args.get_or("scheduler", "rr").parse().map_err(ArgError)?;
-    let granularity: StepGranularity = args
-        .get_or("granularity", StepGranularity::default().as_str())
-        .parse()
-        .map_err(ArgError)?;
     let admission: AdmissionPolicy = args
         .get_or("admission", "accept")
         .parse()
@@ -286,10 +302,9 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
         }
         None => DeadlineSpec::None,
     };
-    let spec = ClusterSpec::new(pipelines)
+    let spec = ClusterSpec::new(1)
         .with_scheduler(scheduler)
         .with_continuous(args.get_bool("continuous")?)
-        .with_granularity(granularity)
         .with_admission(admission)
         .with_deadlines(deadlines);
     let lambda = args.get_num("lambda", 0.05f64)?;
@@ -302,78 +317,44 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
     let seed = args.get_num("seed", 42u64)?;
     let mut arrivals = PoissonArrivals::new(lambda, seed);
 
-    let trace_out = args.get("trace-out");
-    let (report, cluster_size) = match &mix {
-        Some(groups) => {
-            let servers = groups
-                .iter()
-                .map(|g| {
-                    server
-                        .reconfigured(g.placement, g.batch)
-                        .map_err(|e| ArgError(e.to_string()))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let refs: Vec<(&Server, usize)> = servers
-                .iter()
-                .zip(groups.iter())
-                .map(|(s, g)| (s, g.count))
-                .collect();
-            // As offline: the traced report is byte-identical, so
-            // `--trace-out` never perturbs what gets printed.
-            let report = match trace_out {
-                Some(path) => {
-                    let (report, trace) = run_cluster_mix_traced(
-                        &refs,
-                        &workload,
-                        &mut arrivals,
-                        requests,
-                        spec,
-                        &mut CalibrationCache::new(),
-                    )
-                    .map_err(|e| ArgError(e.to_string()))?;
-                    write_trace(path, &trace, json)?;
-                    report
-                }
-                None => run_cluster_mix(&refs, &workload, &mut arrivals, requests, spec)
-                    .map_err(|e| ArgError(e.to_string()))?,
-            };
-            (report, groups.iter().map(|g| g.count).sum::<usize>())
+    let refs: Vec<(&Server, usize)> = servers
+        .iter()
+        .zip(&groups)
+        .map(|(s, g)| (s, g.count))
+        .collect();
+    // As offline: the traced report is byte-identical, so
+    // `--trace-out` never perturbs what gets printed.
+    let report = match args.get("trace-out") {
+        Some(path) => {
+            let (report, trace) = run_cluster_mix_traced(
+                &refs,
+                &workload,
+                &mut arrivals,
+                requests,
+                spec,
+                &mut CalibrationCache::new(),
+            )
+            .map_err(|e| ArgError(e.to_string()))?;
+            write_trace(path, &trace, json)?;
+            report
         }
-        None => {
-            let report = match trace_out {
-                Some(path) => {
-                    let (report, trace) =
-                        run_cluster_traced(&server, &workload, &mut arrivals, requests, spec)
-                            .map_err(|e| ArgError(e.to_string()))?;
-                    write_trace(path, &trace, json)?;
-                    report
-                }
-                None => run_cluster(&server, &workload, &mut arrivals, requests, spec)
-                    .map_err(|e| ArgError(e.to_string()))?,
-            };
-            (report, pipelines)
-        }
+        None => run_cluster_mix(&refs, &workload, &mut arrivals, requests, spec)
+            .map_err(|e| ArgError(e.to_string()))?,
     };
+    let cluster_size: usize = groups.iter().map(|g| g.count).sum();
 
     if json {
-        let groups: Vec<String> = match &mix {
-            Some(groups) => groups
-                .iter()
-                .map(|g| {
-                    format!(
-                        "{{\"placement\":\"{}\",\"batch\":{},\"replicas\":{}}}",
-                        g.placement.as_str(),
-                        g.batch,
-                        g.count
-                    )
-                })
-                .collect(),
-            None => vec![format!(
-                "{{\"placement\":\"{}\",\"batch\":{},\"replicas\":{pipelines}}}",
-                server.policy().placement().as_str(),
-                server.policy().effective_batch()
-            )],
-        };
+        let groups: Vec<String> = groups
+            .iter()
+            .map(|g| {
+                format!(
+                    "{{\"placement\":\"{}\",\"batch\":{},\"replicas\":{}}}",
+                    g.placement.as_str(),
+                    g.batch,
+                    g.count
+                )
+            })
+            .collect();
         let pipes: Vec<String> = report
             .per_pipeline
             .iter()
@@ -393,7 +374,7 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
             .collect();
         println!(
             "{{\"model\":\"{}\",\"memory\":\"{}\",\"scheduler\":\"{}\",\"admission\":\"{}\",\
-             \"continuous\":{},\"granularity\":\"{}\",\
+             \"continuous\":{},\
              \"lambda\":{lambda},\"requests\":{requests},\"seed\":{seed},\
              \"cluster_size\":{cluster_size},\"groups\":[{}],\
              \"served\":{},\"rejected\":{},\"expired\":{},\"met\":{},\"slo_violations\":{},\
@@ -407,7 +388,6 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
             spec.scheduler.as_str(),
             admission,
             spec.continuous,
-            spec.granularity.as_str(),
             groups.join(","),
             report.served,
             report.rejected,
@@ -430,7 +410,7 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
         return Ok(());
     }
     println!(
-        "{} on {}, {} pipeline(s), {} dispatch, {} admission, {} batching, {} events",
+        "{} on {}, {} pipeline(s), {} dispatch, {} admission, {} batching",
         server.model().name(),
         server.system().memory().kind(),
         cluster_size,
@@ -441,23 +421,12 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
         } else {
             "run-to-completion"
         },
-        spec.granularity,
     );
-    match &mix {
-        Some(groups) => {
-            for (g, group) in groups.iter().enumerate() {
-                println!(
-                    "  config {g}    : {} b={} x{}",
-                    group.placement, group.batch, group.count
-                );
-            }
-        }
-        None => println!(
-            "  config 0    : {} b={} x{}",
-            server.policy().placement(),
-            server.policy().effective_batch(),
-            pipelines
-        ),
+    for (g, group) in groups.iter().enumerate() {
+        println!(
+            "  config {g}    : {} b={} x{}",
+            group.placement, group.batch, group.count
+        );
     }
     println!("  load        : lambda {lambda} req/s, {requests} requests, seed {seed}");
     if let DeadlineSpec::Fixed(slo) = deadlines {
@@ -580,7 +549,7 @@ pub fn autoplace(args: &Args) -> Result<(), ArgError> {
 
 /// `helmsim plan`: SLO-aware capacity planning — the minimum-resource
 /// cluster configuration meeting an attainment target under Poisson
-/// load, found by bound-pruned, calibration-cached, parallel search.
+/// load, found by bound-pruned, calibrate-once search.
 pub fn plan(args: &Args) -> Result<(), ArgError> {
     use helm_core::online::DeadlineSpec;
     use helm_core::planner::{self, PlanSpace, PlanTarget, TrafficSpec};
@@ -655,13 +624,9 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("--probe-requests must be at least 1".to_owned()));
     }
     space.continuous = args.get_bool("continuous")?;
-    space.granularity = args
-        .get_or("granularity", space.granularity.as_str())
-        .parse()
-        .map_err(ArgError)?;
     let budget = SearchBudget {
-        threads: args.get_num("threads", 0usize)?,
         max_evals: args.get_num("max-evals", 0usize)?,
+        ..SearchBudget::default()
     };
     let report = planner::plan(
         &server,
@@ -700,7 +665,7 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
              \"total_replicas\":{},\"scheduler\":\"{}\",\"admission\":\"{}\",\
              \"groups\":[{}],\"candidates\":{},\"evaluated\":{},\"pruned\":{},\
              \"confirmations\":{},\"calibrations\":{},\"probe_requests\":{},\
-             \"granularity\":\"{}\",\"wall_ms\":{:.3},\"confirm_wall_ms\":{:.3},\
+             \"wall_ms\":{:.3},\"confirm_wall_ms\":{:.3},\
              \"queue_frac\":{:.6},\"compute_frac\":{:.6},\"transfer_frac\":{:.6}}}",
             server.model().name(),
             server.system().memory().kind(),
@@ -717,7 +682,6 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
             report.confirmations,
             report.calibrations,
             report.probe_requests,
-            space.granularity.as_str(),
             report.stats.wall_ms,
             report.confirm_wall_ms,
             report.attribution.queue_fraction(),
@@ -777,8 +741,8 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
         report.stats.evaluated, report.stats.pruned, report.candidates, report.stats.wall_ms
     );
     println!(
-        "  confirms    : {} full-length run(s) in {:.1} ms ({} events), {} calibration(s)",
-        report.confirmations, report.confirm_wall_ms, space.granularity, report.calibrations
+        "  confirms    : {} full-length run(s) in {:.1} ms, {} calibration(s)",
+        report.confirmations, report.confirm_wall_ms, report.calibrations
     );
     println!(
         "  crit. path  : queue {:.1}% / compute {:.1}% / transfer {:.1}%",
@@ -1066,43 +1030,43 @@ mod tests {
         assert!(serve(&sched).unwrap_err().to_string().contains("scheduler"));
         let lambda = parse(&["--model", "opt-1.3b", "--memory", "dram", "--lambda", "-1"]);
         assert!(serve(&lambda).unwrap_err().to_string().contains("lambda"));
-        let gran = parse(&[
-            "--model",
-            "opt-1.3b",
-            "--memory",
-            "dram",
-            "--pipelines",
-            "2",
-            "--granularity",
-            "fine",
-        ]);
-        assert!(serve(&gran)
-            .unwrap_err()
-            .to_string()
-            .contains("granularity"));
     }
 
     #[test]
-    fn serve_online_accepts_per_step_granularity() {
-        let args = parse(&[
-            "--model",
-            "opt-1.3b",
-            "--memory",
-            "dram",
-            "--gen",
-            "3",
-            "--pipelines",
-            "2",
-            "--granularity",
-            "per-step",
-            "--lambda",
-            "0.5",
-            "--requests",
-            "8",
-            "--seed",
-            "7",
-        ]);
-        serve(&args).unwrap();
+    fn removed_flags_are_unknown() {
+        // No command takes `--granularity`, and only `autoplace`
+        // takes `--threads`.
+        type Command = fn(&Args) -> Result<(), ArgError>;
+        let commands: [(&str, Command); 10] = [
+            ("serve", serve),
+            ("maxbatch", maxbatch),
+            ("autoplace", autoplace),
+            ("plan", plan),
+            ("energy", energy),
+            ("probe", probe),
+            ("explain", explain),
+            ("sweep", sweep),
+            ("trace-validate", trace_validate),
+            ("list", list),
+        ];
+        let unknown = |run: Command, tokens: &[&str]| {
+            run(&parse(tokens))
+                .unwrap_err()
+                .to_string()
+                .starts_with(&format!("unknown flag {}", tokens[0]))
+        };
+        for (name, run) in commands {
+            assert!(
+                unknown(run, &["--granularity", "coalesced"]),
+                "{name} accepted --granularity"
+            );
+        }
+        assert!(unknown(
+            serve,
+            &["--granularity", "per-step", "--pipelines", "2"]
+        ));
+        assert!(unknown(plan, &["--threads", "2"]));
+        assert!(AUTOPLACE_FLAGS.contains(&"threads"));
     }
 
     #[test]

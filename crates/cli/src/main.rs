@@ -59,8 +59,6 @@ COMMON FLAGS:
                         helm:4x2,all-cpu:44x2 (placement:batch[xcount])
   --scheduler <s>       cluster dispatch: rr|jsq|lft|edf (default rr)
   --continuous          admit requests at decode-step boundaries
-  --granularity <g>     decode stepping: coalesced|per-step
-                        (default coalesced; reports are identical)
   --admission <a>       arrival admission: accept|cap:<n>|deadline
                         (default accept)
   --lambda <r>          Poisson arrival rate, req/s (default 0.05)
@@ -68,7 +66,7 @@ COMMON FLAGS:
   --seed <n>            arrival-process seed (default 42)
   --format <f>          serve/plan output: text|json (default text)
   --objective <o>       autoplace: latency|throughput (default latency)
-  --threads <n>         autoplace/plan: search threads (default 0 = auto)
+  --threads <n>         autoplace: search threads (default 0 = auto)
   --max-evals <n>       autoplace/plan: cap evaluations (0 = unlimited)
   --target <a>          plan: SLO-attainment target in [0,1] (default 0.95)
   --max-replicas <n>    plan: total replica cap (default 4)
@@ -134,23 +132,40 @@ mod tests {
         AUTOPLACE_FLAGS, PLAN_FLAGS, PROBE_FLAGS, SERVE_FLAGS, SWEEP_FLAGS, TRACE_VALIDATE_FLAGS,
     };
 
+    const LISTS: [&[&str]; 6] = [
+        SERVE_FLAGS,
+        AUTOPLACE_FLAGS,
+        PLAN_FLAGS,
+        SWEEP_FLAGS,
+        PROBE_FLAGS,
+        TRACE_VALIDATE_FLAGS,
+    ];
+
+    /// The flag each `--flag ...` line of `USAGE` documents.
+    fn documented_flags() -> impl Iterator<Item = &'static str> {
+        USAGE.lines().filter_map(|line| {
+            let body = line.trim_start().strip_prefix("--")?;
+            body.split(' ').next()
+        })
+    }
+
     #[test]
     fn usage_documents_every_accepted_flag() {
-        let lists = [
-            SERVE_FLAGS,
-            AUTOPLACE_FLAGS,
-            PLAN_FLAGS,
-            SWEEP_FLAGS,
-            PROBE_FLAGS,
-            TRACE_VALIDATE_FLAGS,
-        ];
-        for flag in lists.into_iter().flatten() {
-            let documented = USAGE.lines().any(|line| {
-                line.trim_start()
-                    .strip_prefix(&format!("--{flag}"))
-                    .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
-            });
-            assert!(documented, "--{flag} is accepted but missing from USAGE");
+        for flag in LISTS.into_iter().flatten() {
+            assert!(
+                documented_flags().any(|doc| doc == *flag),
+                "--{flag} is accepted but missing from USAGE"
+            );
+        }
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_by_some_command() {
+        for doc in documented_flags() {
+            assert!(
+                LISTS.into_iter().flatten().any(|flag| *flag == doc),
+                "USAGE documents --{doc}, which no command accepts"
+            );
         }
     }
 }

@@ -103,8 +103,10 @@ const FIRST_CHUNK: usize = 4;
 /// Resource knobs for one search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchBudget {
-    /// Worker threads for candidate evaluation; 0 means auto
-    /// (`RAYON_NUM_THREADS` or the machine's available parallelism).
+    /// Worker threads for autoplace's candidate evaluation; 0 means
+    /// auto (`RAYON_NUM_THREADS` or the machine's available
+    /// parallelism). The capacity planner probes on the calling
+    /// thread and ignores it.
     pub threads: usize,
     /// Cap on pipeline evaluations; 0 means unlimited. When the cap
     /// truncates the search, the best candidate found so far wins

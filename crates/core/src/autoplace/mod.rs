@@ -7,11 +7,11 @@
 //! simulator — rebuilt as a search engine fast enough to sit on the
 //! serving path rather than an offline sweep:
 //!
-//! * [`engine`] evaluates candidates in parallel (vendored rayon) in
+//! * `engine` evaluates candidates in parallel (vendored rayon) in
 //!   bound-sorted fixed chunks with a serial in-order reduction, so
 //!   the winner is bit-identical to the serial sweep whatever the
 //!   thread count;
-//! * [`prune`] skips candidates whose analytical lower bound on
+//! * `prune` skips candidates whose analytical lower bound on
 //!   decode-token time already loses to the incumbent — those never
 //!   pay for a pipeline run, and since the schedule is sorted
 //!   best-bound-first, one pruned candidate prunes the whole tail;

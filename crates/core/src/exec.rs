@@ -139,7 +139,7 @@ pub(crate) struct WritebackCost {
 /// byte counts, per-layer DES weight flows, the KV write-back cost of
 /// each stage, and all decode compute except the attention GEMM —
 /// which is cached as coefficients of the context length
-/// ([`DecodeCompute`]). Both executors ([`run_pipeline_with`],
+/// (`DecodeCompute`). Both executors ([`run_pipeline_with`],
 /// [`crate::exec_des::run_pipeline_des_with`]) and the autoplace
 /// bound ([`crate::autoplace`]) consume the same table.
 #[derive(Debug, Clone)]

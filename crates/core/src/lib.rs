@@ -68,4 +68,4 @@ pub use placement::{ModelPlacement, PlacementKind, Tier};
 pub use policy::Policy;
 pub use server::Server;
 pub use system::SystemConfig;
-pub use trace::{Attribution, RequestTrace, Trace, TraceMode};
+pub use trace::{Attribution, RequestTrace, Trace};

@@ -47,7 +47,7 @@
 use crate::error::HelmError;
 use crate::exec::RecordMode;
 use crate::server::Server;
-use crate::trace::{Attribution, RequestTrace, Trace, TraceMode};
+use crate::trace::{Attribution, RequestTrace, Trace};
 use simaudit::{AuditReport, Auditor};
 use simcore::engine::{Context, Simulator, SpanId};
 use simcore::rng::SimRng;
@@ -250,15 +250,14 @@ impl ServiceModel {
 /// A shared memo for [`ServiceModel::calibrate`].
 ///
 /// Calibration costs two pipeline runs per distinct replica
-/// configuration. A capacity-planning search probes thousands of
-/// cluster mixes drawn from a handful of templates, so without a
-/// cache the same two runs are re-paid on every probe — the dominant
-/// cost of the whole search. The cache keys on everything calibration
-/// reads (platform, model, policy, workload) and hands back the
-/// memoized model on a hit; [`run_cluster_mix_cached`] threads one
-/// cache through repeated cluster runs, and [`run_cluster_mix`] is
-/// the fresh-cache special case (which still dedupes identical groups
-/// *within* one call).
+/// configuration. Repeated cluster runs over a handful of
+/// configurations (a λ sweep, the capacity planner's template
+/// calibration) would otherwise re-pay the same two runs every time.
+/// The cache keys on everything calibration reads (platform, model,
+/// policy, workload) and hands back the memoized model on a hit;
+/// [`run_cluster_mix_cached`] threads one cache through repeated
+/// cluster runs, and [`run_cluster_mix`] is the fresh-cache special
+/// case (which still dedupes identical groups *within* one call).
 ///
 /// The key is the `Debug` rendering of the configuration tuple.
 /// Every field that feeds calibration derives `Debug` with
@@ -653,11 +652,6 @@ pub struct ClusterSpec {
     /// queue event per batch/step completion. Reports are
     /// byte-identical either way; only speed differs.
     pub granularity: StepGranularity,
-    /// Span collection: [`TraceMode::Spans`] records a per-request
-    /// span tree (retrieved via the `*_traced` entry points). Reports
-    /// are byte-identical either way — attribution is always
-    /// computed; only the side-channel span trees are optional.
-    pub trace: TraceMode,
 }
 
 impl ClusterSpec {
@@ -678,7 +672,6 @@ impl ClusterSpec {
             record: RecordMode::Full,
             backend: QueueBackend::default(),
             granularity: StepGranularity::default(),
-            trace: TraceMode::default(),
         }
     }
 
@@ -728,13 +721,6 @@ impl ClusterSpec {
     #[must_use]
     pub fn with_granularity(mut self, granularity: StepGranularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// Replaces the span-collection mode.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -896,7 +882,7 @@ pub struct ClusterReport {
     /// Aggregate critical-path attribution over all served requests:
     /// queue-bound vs compute-bound vs transfer-bound ticks, exact
     /// (`sum(buckets) == total` as a `u64` equality). Identical
-    /// across granularities, backends, and [`TraceMode`]s.
+    /// across granularities and backends, traced or not.
     pub attribution: Attribution,
     /// Conservation audit, when auditing is enabled (debug builds or
     /// [`simaudit::force_enable`]).
@@ -1042,39 +1028,6 @@ pub fn run_online(
     })
 }
 
-/// Event-driven variant of [`run_online`]: a thin wrapper over
-/// [`run_cluster`] with a single pipeline, round-robin dispatch, and
-/// run-to-completion batching, which reproduces the hand-rolled loop
-/// bit for bit (the test suite cross-validates the two).
-///
-/// # Errors
-///
-/// Propagates batch validation from the underlying [`Server`].
-pub fn run_online_des(
-    server: &Server,
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-) -> Result<OnlineReport, HelmError> {
-    let r = run_cluster(
-        server,
-        workload,
-        arrivals,
-        num_requests,
-        ClusterSpec::new(1),
-    )?;
-    Ok(OnlineReport {
-        served: r.served,
-        makespan: r.makespan,
-        queue_delay: r.queue_delay,
-        e2e_latency: r.e2e_latency,
-        batch_sizes: r.batch_sizes,
-        utilization: r.utilization,
-        tokens_per_s: r.tokens_per_s,
-        audit: r.audit,
-    })
-}
-
 /// Busy fraction of `makespan`, reported raw. The seed code clamped
 /// this with `.min(1.0)`, which silently masked over-accounted busy
 /// time; a ratio above 1 now surfaces as a
@@ -1185,9 +1138,10 @@ struct ClusterSt {
     slo_violations: u64,
     met: u64,
     /// Aggregate attribution over completed requests — always
-    /// accumulated, whatever the [`TraceMode`].
+    /// accumulated, traced or not.
     attribution: Attribution,
-    /// Span collection buffer ([`TraceMode::Spans`] only).
+    /// Span collection buffer, present only when the run was handed a
+    /// trace sink.
     trace: Option<Trace>,
     audit: Auditor,
     /// The live arrival process: the chain of arrival events draws
@@ -1722,9 +1676,13 @@ fn drain_boundaries(st: &mut ClusterSt, limit: Option<(SimTime, u64)>) {
 /// [`simaudit::Auditor`]; the resulting report (when auditing is
 /// active) is attached to the returned [`ClusterReport`].
 ///
+/// This is the one-group [`run_cluster_mix`]: the report is
+/// byte-identical to `run_cluster_mix(&[(server, spec.pipelines)], …)`.
+///
 /// # Errors
 ///
-/// Propagates batch validation from the underlying [`Server`].
+/// Propagates batch validation from the underlying [`Server`];
+/// returns [`HelmError::InvalidConfig`] when `spec.pipelines` is zero.
 pub fn run_cluster(
     server: &Server,
     workload: &WorkloadSpec,
@@ -1732,48 +1690,13 @@ pub fn run_cluster(
     num_requests: usize,
     spec: ClusterSpec,
 ) -> Result<ClusterReport, HelmError> {
-    let model = ServiceModel::calibrate(server, workload)?;
-    let n = spec.pipelines.max(1);
-    let pipes = (0..n).map(|_| Pipe::new(0)).collect();
-    run_cluster_engine(
-        vec![model],
-        pipes,
+    run_cluster_mix(
+        &[(server, spec.pipelines)],
         workload,
         arrivals,
         num_requests,
         spec,
-        None,
     )
-}
-
-/// [`run_cluster`] with span collection forced on: returns the report
-/// together with every served request's span tree. The report is
-/// byte-identical to the untraced run.
-///
-/// # Errors
-///
-/// Propagates batch validation from the underlying [`Server`].
-pub fn run_cluster_traced(
-    server: &Server,
-    workload: &WorkloadSpec,
-    arrivals: &mut PoissonArrivals,
-    num_requests: usize,
-    spec: ClusterSpec,
-) -> Result<(ClusterReport, Trace), HelmError> {
-    let model = ServiceModel::calibrate(server, workload)?;
-    let n = spec.pipelines.max(1);
-    let pipes = (0..n).map(|_| Pipe::new(0)).collect();
-    let mut trace = Trace::default();
-    let report = run_cluster_engine(
-        vec![model],
-        pipes,
-        workload,
-        arrivals,
-        num_requests,
-        spec.with_trace(TraceMode::Spans),
-        Some(&mut trace),
-    )?;
-    Ok((report, trace))
 }
 
 /// Serves `num_requests` Poisson arrivals through a **heterogeneous**
@@ -1812,7 +1735,7 @@ pub fn run_cluster_mix(
     )
 }
 
-/// [`run_cluster_mix`] with span collection forced on: returns the
+/// [`run_cluster_mix_cached`] with span collection on: returns the
 /// report together with every served request's span tree. The report
 /// is byte-identical to the untraced run.
 ///
@@ -1827,25 +1750,14 @@ pub fn run_cluster_mix_traced(
     spec: ClusterSpec,
     cache: &mut CalibrationCache,
 ) -> Result<(ClusterReport, Trace), HelmError> {
-    let mut models = Vec::with_capacity(groups.len());
-    let mut pipes: Vec<Pipe> = Vec::new();
-    for (g, (server, count)) in groups.iter().enumerate() {
-        models.push(cache.get_or_calibrate(server, workload)?);
-        pipes.extend((0..*count).map(|_| Pipe::new(g)));
-    }
-    if pipes.is_empty() {
-        return Err(HelmError::InvalidConfig(
-            "a cluster mix needs at least one pipeline",
-        ));
-    }
+    let groups = calibrate_groups(groups, workload, cache)?;
     let mut trace = Trace::default();
-    let report = run_cluster_engine(
-        models,
-        pipes,
+    let report = run_models(
+        groups,
         workload,
         arrivals,
         num_requests,
-        spec.with_trace(TraceMode::Spans),
+        spec,
         Some(&mut trace),
     )?;
     Ok((report, trace))
@@ -1853,7 +1765,7 @@ pub fn run_cluster_mix_traced(
 
 /// [`run_cluster_mix`] with the calibration memo held by the caller:
 /// repeated runs over mixes drawn from the same replica
-/// configurations (a capacity-planning search, a λ sweep) pay the two
+/// configurations (a λ sweep, a benchmark loop) pay the two
 /// calibration pipeline runs once per *distinct* configuration
 /// instead of once per group per call. A warm cache makes the
 /// per-call calibration cost zero; the simulation itself is
@@ -1872,18 +1784,21 @@ pub fn run_cluster_mix_cached(
     spec: ClusterSpec,
     cache: &mut CalibrationCache,
 ) -> Result<ClusterReport, HelmError> {
-    let mut models = Vec::with_capacity(groups.len());
-    let mut pipes: Vec<Pipe> = Vec::new();
-    for (g, (server, count)) in groups.iter().enumerate() {
-        models.push(cache.get_or_calibrate(server, workload)?);
-        pipes.extend((0..*count).map(|_| Pipe::new(g)));
-    }
-    if pipes.is_empty() {
-        return Err(HelmError::InvalidConfig(
-            "a cluster mix needs at least one pipeline",
-        ));
-    }
-    run_cluster_engine(models, pipes, workload, arrivals, num_requests, spec, None)
+    let groups = calibrate_groups(groups, workload, cache)?;
+    run_models(groups, workload, arrivals, num_requests, spec, None)
+}
+
+/// Each group's server calibrated through `cache`, paired with its
+/// replica count.
+fn calibrate_groups(
+    groups: &[(&Server, usize)],
+    workload: &WorkloadSpec,
+    cache: &mut CalibrationCache,
+) -> Result<Vec<(ServiceModel, usize)>, HelmError> {
+    groups
+        .iter()
+        .map(|(server, count)| Ok((cache.get_or_calibrate(server, workload)?, *count)))
+        .collect()
 }
 
 /// One arrival landing in the cluster (the registered arrival-span
@@ -1956,18 +1871,36 @@ fn schedule_next_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, i: us
     }
 }
 
-/// The shared cluster simulation: `pipes` (each bound to one of
-/// `models`) serving Poisson arrivals under `spec`'s dispatch,
-/// admission, deadline, and recording policies.
-fn run_cluster_engine(
-    models: Vec<ServiceModel>,
-    pipes: Vec<Pipe>,
+/// The one cluster simulation behind every entry point: `count`
+/// replicas of each calibrated `(model, count)` group (pipelines
+/// labelled with their group index) serving Poisson arrivals under
+/// `spec`'s dispatch, admission, deadline, and recording policies.
+/// Span trees are collected only when a `trace_out` sink is given —
+/// the report is byte-identical either way.
+///
+/// # Errors
+///
+/// Returns [`HelmError::InvalidConfig`] when the groups contribute no
+/// pipeline at all, and propagates simulator faults.
+pub(crate) fn run_models(
+    groups: Vec<(ServiceModel, usize)>,
     workload: &WorkloadSpec,
     arrivals: &mut PoissonArrivals,
     num_requests: usize,
     spec: ClusterSpec,
     trace_out: Option<&mut Trace>,
 ) -> Result<ClusterReport, HelmError> {
+    let mut models = Vec::with_capacity(groups.len());
+    let mut pipes = Vec::new();
+    for (g, (model, count)) in groups.into_iter().enumerate() {
+        models.push(model);
+        pipes.extend((0..count).map(|_| Pipe::new(g)));
+    }
+    if pipes.is_empty() {
+        return Err(HelmError::InvalidConfig(
+            "a cluster mix needs at least one pipeline",
+        ));
+    }
     let n = pipes.len();
     let (queue_delay, e2e) = match spec.record {
         RecordMode::Full => (LatencyStats::full(), LatencyStats::full()),
@@ -1994,7 +1927,7 @@ fn run_cluster_engine(
             slo_violations: 0,
             met: 0,
             attribution: Attribution::default(),
-            trace: spec.trace.enabled().then(Trace::default),
+            trace: trace_out.is_some().then(Trace::default),
             audit: Auditor::capture(),
             arrivals: arrivals.clone(),
             deadliner: DeadlineAssigner::new(spec.deadlines),
@@ -2216,36 +2149,6 @@ mod tests {
             small.e2e_percentile_ms(95.0)
         );
         assert!(large.tokens_per_s > small.tokens_per_s * 0.9);
-    }
-
-    #[test]
-    fn event_driven_variant_matches_the_loop() {
-        // Two independent implementations of the same queueing
-        // semantics: the hand-rolled loop and the simcore event
-        // engine. They must agree on every statistic.
-        let ws = WorkloadSpec::paper_default();
-        for (placement, batch, lambda) in [
-            (PlacementKind::AllCpu, 44u32, 0.15f64),
-            (PlacementKind::Baseline, 8, 0.05),
-            (PlacementKind::Helm, 4, 0.02),
-        ] {
-            let s = server(placement, batch);
-            let a = run_online(&s, &ws, &mut PoissonArrivals::new(lambda, 11), 60).unwrap();
-            let b = run_online_des(&s, &ws, &mut PoissonArrivals::new(lambda, 11), 60).unwrap();
-            assert_eq!(a.batch_sizes, b.batch_sizes, "{placement} batches");
-            assert!(
-                (a.makespan.as_secs() - b.makespan.as_secs()).abs() < 1e-9,
-                "{placement} makespan"
-            );
-            assert!(
-                (a.mean_queue_delay_ms() - b.mean_queue_delay_ms()).abs() < 1e-6,
-                "{placement} queue delay"
-            );
-            assert!(
-                (a.e2e_percentile_ms(95.0) - b.e2e_percentile_ms(95.0)).abs() < 1e-6,
-                "{placement} p95"
-            );
-        }
     }
 
     #[test]

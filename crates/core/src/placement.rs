@@ -394,7 +394,7 @@ pub struct CustomTotals {
 /// once: layers are grouped into classes with identical
 /// `(kind, weight specs)` — one MHA class and one FFN class for the
 /// uniform decoder stacks of the OPT family, plus the embeddings —
-/// and per-candidate work shrinks to one [`helm_allocate`] call per
+/// and per-candidate work shrinks to one `helm_allocate` call per
 /// class. [`Self::build`] is bit-identical to `compute_custom` by
 /// construction (`compute_custom` delegates to it), and
 /// [`Self::totals`] returns the byte totals the built placement

@@ -1,4 +1,4 @@
-//! The planner's parallel, pruned, probe-then-confirm search driver.
+//! The planner's pruned, probe-then-confirm search engine.
 //!
 //! # Search order
 //!
@@ -17,24 +17,20 @@
 //!    caller's `PlanSpace`, so the schedule is a pure function of the
 //!    lattice);
 //! 3. candidates are probed with short capped-request DES runs in
-//!    fixed-size chunks, reduced serially in schedule order; the
-//!    first probe that clears the target is re-run at full length,
-//!    and a confirmed run ends the search. A probe-feasible candidate
-//!    that *fails* confirmation is skipped deterministically and the
-//!    scan continues.
+//!    fixed-size chunks, reduced in schedule order; the first probe
+//!    that clears the target is re-run at full length, and a
+//!    confirmed run ends the search. A probe-feasible candidate that
+//!    *fails* confirmation is skipped deterministically and the scan
+//!    continues.
 //!
 //! # Determinism
 //!
-//! The same three mechanisms as the autoplace engine make the chosen
-//! configuration bit-identical at any thread count: the schedule and
-//! its chunk boundaries are fixed before evaluation begins; each
-//! probe is a pure function of its candidate (every probe replays the
-//! identical arrival prefix from the traffic seed, and the shared
-//! calibration cache is warmed before the pool spins up, so workers
-//! only ever read it); and the reduction over each chunk's outcomes
-//! is serial and in schedule order. A level smaller than one chunk
-//! per worker runs inline on the calling thread — same chunks, same
-//! order, same winner, less fan-out overhead.
+//! The report is a pure function of the lattice and the traffic: the
+//! schedule and its chunk boundaries are fixed before evaluation
+//! begins, each probe is a pure function of its candidate (every
+//! probe replays the identical arrival prefix from the traffic seed
+//! on models calibrated once, before the first probe), and the
+//! reduction over each chunk's outcomes runs in schedule order.
 //!
 //! # Fallback
 //!
@@ -45,29 +41,21 @@
 //! highest-bound mix under the first scheduler/admission variant. The
 //! report marks the result infeasible rather than failing the search.
 
-use std::num::NonZeroUsize;
 // lint: allow(wall-clock-in-sim): SearchStats.wall_ms reports real search cost, never simulated time
 use std::time::Instant;
 
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
-
 use super::bound::{bound_over, TrafficRealization};
 use super::{
-    Candidate, GroupTemplate, PlanReport, PlanSpace, PlanTarget, SearchBudget, SearchStats,
-    TrafficSpec,
+    run_candidate, Candidate, GroupTemplate, PlanReport, PlanSpace, PlanTarget, SearchBudget,
+    SearchStats, TrafficSpec,
 };
 use crate::error::HelmError;
-use crate::exec::RecordMode;
-use crate::online::{
-    run_cluster_mix_cached, CalibrationCache, ClusterReport, ClusterSpec, PoissonArrivals,
-    ServiceModel,
-};
+use crate::online::{CalibrationCache, ClusterReport, ServiceModel};
 use crate::server::Server;
 use workload::WorkloadSpec;
 
-/// Candidates per parallel probe chunk. Fixed (not thread-derived) so
-/// chunk boundaries are identical whatever the thread count.
+/// Candidates per probe chunk: each chunk is probed in full before
+/// its outcomes are reduced, and `max_evals` truncates a chunk.
 const CHUNK: usize = 8;
 
 /// Every replica-count vector of length `templates` summing to
@@ -143,39 +131,29 @@ impl<'a> PlanEngine<'a> {
     }
 
     /// Runs one DES simulation of `ranked`'s cluster over the first
-    /// `num_requests` arrivals of the traffic sequence. Pure in the
-    /// candidate: arrivals restart from the traffic seed and the
-    /// warm calibration cache is only read, so probes can run on any
-    /// worker in any order.
+    /// `num_requests` arrivals of the traffic sequence, on the
+    /// templates' calibrated `models`. Zero-count templates are
+    /// dropped, so pipeline configs index the deployed groups.
     fn simulate(
         &self,
-        servers: &[Server],
+        models: &[ServiceModel],
         ranked: &Ranked,
         num_requests: usize,
-        cache: &CalibrationCache,
     ) -> Result<ClusterReport, HelmError> {
-        let groups: Vec<(&Server, usize)> = servers
+        let groups = models
             .iter()
             .zip(&ranked.counts)
             .filter(|(_, &count)| count > 0)
-            .map(|(server, &count)| (server, count))
+            .map(|(model, &count)| (model.clone(), count))
             .collect();
-        let spec = ClusterSpec::new(1)
-            .with_scheduler(self.space.schedulers[ranked.scheduler])
-            .with_admission(self.space.admissions[ranked.admission])
-            .with_deadlines(self.traffic.deadlines)
-            .with_continuous(self.space.continuous)
-            .with_granularity(self.space.granularity)
-            .with_record(RecordMode::Aggregate);
-        let mut arrivals = PoissonArrivals::new(self.traffic.lambda, self.traffic.seed);
-        let mut cache = cache.clone();
-        run_cluster_mix_cached(
-            &groups,
+        run_candidate(
+            groups,
+            &self.candidate(ranked),
+            self.space,
+            self.traffic,
             self.workload,
-            &mut arrivals,
             num_requests,
-            spec,
-            &mut cache,
+            None,
         )
     }
 
@@ -186,29 +164,19 @@ impl<'a> PlanEngine<'a> {
             .probe_requests
             .max(1)
             .min(self.traffic.num_requests);
-        // Template servers and the shared calibration memo, warmed
-        // serially before any parallel probing: two pipeline runs per
-        // distinct template for the entire search.
-        let servers = self
+        // Every template calibrated once, before the first probe: two
+        // pipeline runs per distinct template for the entire search.
+        let mut cache = CalibrationCache::new();
+        let models = self
             .space
             .templates
             .iter()
-            .map(|t| self.server.reconfigured(t.placement, t.batch))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut cache = CalibrationCache::new();
-        let models = servers
-            .iter()
-            .map(|s| cache.get_or_calibrate(s, self.workload))
+            .map(|t| {
+                let replica = self.server.reconfigured(t.placement, t.batch)?;
+                cache.get_or_calibrate(&replica, self.workload)
+            })
             .collect::<Result<Vec<ServiceModel>, _>>()?;
         let realization = TrafficRealization::realize(self.traffic);
-
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.budget.threads)
-            .build()
-            .unwrap_or_else(|_| unreachable!("vendored rayon pool build is infallible"));
-        let workers = pool
-            .current_num_threads()
-            .min(std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
 
         let mut stats = SearchStats::default();
         let mut candidates_total = 0usize;
@@ -263,10 +231,6 @@ impl<'a> PlanEngine<'a> {
                     .then_with(|| a.scheduler.cmp(&b.scheduler))
                     .then_with(|| a.admission.cmp(&b.admission))
             });
-            // Adaptive serial fallback, as in the autoplace engine: a
-            // level too small to keep every worker busy runs inline —
-            // same chunks, same reduction order, bit-identical pick.
-            let serial = workers <= 1 || ranked.len() < workers * CHUNK;
             let mut cursor = 0usize;
             while cursor < ranked.len() {
                 let cap = if self.budget.max_evals > 0 {
@@ -280,19 +244,10 @@ impl<'a> PlanEngine<'a> {
                 let take = CHUNK.min(cap).min(ranked.len() - cursor);
                 let chunk = &ranked[cursor..cursor + take];
                 cursor += take;
-                let probes: Vec<Result<ClusterReport, HelmError>> = if serial {
-                    chunk
-                        .iter()
-                        .map(|r| self.simulate(&servers, r, probe_requests, &cache))
-                        .collect()
-                } else {
-                    pool.install(|| {
-                        chunk
-                            .par_iter()
-                            .map(|r| self.simulate(&servers, r, probe_requests, &cache))
-                            .collect()
-                    })
-                };
+                let probes: Vec<Result<ClusterReport, HelmError>> = chunk
+                    .iter()
+                    .map(|r| self.simulate(&models, r, probe_requests))
+                    .collect();
                 for (ranked_candidate, probe) in chunk.iter().zip(probes) {
                     let report = probe?;
                     stats.evaluated += 1;
@@ -304,12 +259,8 @@ impl<'a> PlanEngine<'a> {
                         confirmations += 1;
                         // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
                         let confirm_started = Instant::now();
-                        let confirmed = self.simulate(
-                            &servers,
-                            ranked_candidate,
-                            self.traffic.num_requests,
-                            &cache,
-                        )?;
+                        let confirmed =
+                            self.simulate(&models, ranked_candidate, self.traffic.num_requests)?;
                         confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
                         if confirmed.slo_attainment() >= self.target.attainment {
                             outcome =
@@ -344,7 +295,7 @@ impl<'a> PlanEngine<'a> {
                             scheduler: 0,
                             admission: 0,
                         };
-                        let report = self.simulate(&servers, &ranked, probe_requests, &cache)?;
+                        let report = self.simulate(&models, &ranked, probe_requests)?;
                         stats.evaluated += 1;
                         (self.candidate(&ranked), report.slo_attainment())
                     }
@@ -368,8 +319,7 @@ impl<'a> PlanEngine<'a> {
                 confirmations += 1;
                 // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
                 let confirm_started = Instant::now();
-                let confirmed =
-                    self.simulate(&servers, &ranked, self.traffic.num_requests, &cache)?;
+                let confirmed = self.simulate(&models, &ranked, self.traffic.num_requests)?;
                 confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
                 (candidate, probe_attainment, confirmed)
             }

@@ -2,7 +2,7 @@
 //! configuration that meets an attainment target.
 //!
 //! The paper's conclusion asks for a system that "automatically
-//! make[s] latency/throughput tradeoffs based on desired quality of
+//! make\[s\] latency/throughput tradeoffs based on desired quality of
 //! service requirements" (§VII). [`crate::autoplace`] answers half of
 //! that — the best `{placement, batch}` for one replica — and
 //! [`crate::online`] simulates the other half, a heterogeneous
@@ -15,39 +15,39 @@
 //! total replicas — whose simulated attainment clears the target.
 //!
 //! The joint lattice is thousands of candidates where autoplace's
-//! grid was 43, so the search leans on three layers of perf
-//! machinery:
+//! grid was 43, so the search leans on three layers of work
+//! avoidance:
 //!
 //! 1. **Analytical pruning** ([`attainment_bound`]): an optimistic
 //!    M/G/k-style upper bound on attainment computed from the
-//!    calibrated [`ServiceModel`](crate::online::ServiceModel)s
-//!    alone — per-replica service-rate caps against the realized
-//!    arrival/deadline sequence, plus a per-class feasibility floor.
-//!    A mix whose *optimistic* bound misses the target cannot meet
-//!    it in the DES either (bound-feasible ⊇ DES-feasible, the same
-//!    soundness contract as `autoplace`'s prune layer), so all of
-//!    its scheduler × admission variants are pruned without running
-//!    a single simulation.
-//! 2. **Calibration caching**
-//!    ([`CalibrationCache`](crate::online::CalibrationCache)): every
-//!    probe of a mix draws its service models from one shared memo,
-//!    so the two calibration pipeline runs per distinct
-//!    `(placement, batch)` template are paid once for the whole
-//!    search instead of once per probe.
-//! 3. **Parallel, deterministic evaluation**: surviving candidates
-//!    are probed with short capped-request DES runs
+//!    calibrated [`ServiceModel`]s alone — per-replica service-rate
+//!    caps against the realized arrival/deadline sequence, plus a
+//!    per-class feasibility floor. A mix whose *optimistic* bound
+//!    misses the target cannot meet it in the DES either
+//!    (bound-feasible ⊇ DES-feasible, the same soundness contract as
+//!    `autoplace`'s prune layer), so all of its scheduler × admission
+//!    variants are pruned without running a single simulation.
+//! 2. **Calibration once per template**: each distinct
+//!    `(placement, batch)` template is calibrated up front through one
+//!    [`CalibrationCache`](crate::online::CalibrationCache), and every
+//!    probe, confirmation, and traced replay runs its cluster straight
+//!    from those calibrated models — two pipeline runs per template
+//!    for the whole search instead of two per group per probe.
+//! 3. **Deterministic, minimum-resource-first evaluation**: surviving
+//!    candidates are probed best-bound-first with short
+//!    capped-request DES runs
 //!    ([`RecordMode::Aggregate`](crate::exec::RecordMode)) in fixed
-//!    chunks on the vendored rayon pool, best-bound-first, with a
-//!    serial in-order reduction — the identical determinism recipe as
-//!    the autoplace engine, so the chosen configuration is
-//!    bit-identical at any thread count. Replica counts are walked
+//!    chunks on the calling thread. Replica counts are walked
 //!    coarse-to-fine (cheapest level first), and the first
 //!    probe-feasible candidate is verified with one full-length
 //!    confirmation run before being returned.
 //!
-//! The resource knobs ([`SearchBudget`]) and work accounting
+//! The budget ([`SearchBudget`]) and work accounting
 //! ([`SearchStats`]) are shared with [`crate::autoplace`] — one
-//! budget vocabulary for both searches.
+//! budget vocabulary for both searches. The planner honours
+//! `max_evals`; `threads` sizes only autoplace's pool, because a
+//! probe pool never paid for itself here (most levels hold fewer
+//! candidates than one chunk per worker).
 
 mod bound;
 mod engine;
@@ -56,9 +56,14 @@ pub use crate::autoplace::{SearchBudget, SearchStats};
 pub use bound::attainment_bound;
 
 use crate::error::HelmError;
-use crate::online::{AdmissionPolicy, ClusterReport, DeadlineSpec, SchedulerKind, StepGranularity};
+use crate::exec::RecordMode;
+use crate::online::{
+    run_models, AdmissionPolicy, ClusterReport, ClusterSpec, DeadlineSpec, PoissonArrivals,
+    SchedulerKind, ServiceModel,
+};
 use crate::placement::PlacementKind;
 use crate::server::Server;
+use crate::trace::Trace;
 use workload::WorkloadSpec;
 
 /// The offered traffic a plan must serve.
@@ -152,10 +157,6 @@ pub struct PlanSpace {
     pub admissions: Vec<AdmissionPolicy>,
     /// Serve with continuous (decode-step) batching.
     pub continuous: bool,
-    /// Event granularity of every probe and confirmation run. Reports
-    /// are byte-identical either way; coalesced macro-stepping only
-    /// changes how fast the confirmations finish.
-    pub granularity: StepGranularity,
     /// Requests per screening probe (capped at the traffic's
     /// `num_requests`). Probes rank candidates; the winner is always
     /// verified with a full-length confirmation run.
@@ -197,7 +198,6 @@ impl PlanSpace {
                 AdmissionPolicy::DeadlineFeasible,
             ],
             continuous: false,
-            granularity: StepGranularity::default(),
             probe_requests: 200,
         })
     }
@@ -266,10 +266,9 @@ pub struct PlanReport {
     /// template, however many probes the search made.
     pub calibrations: u64,
     /// Wall-clock milliseconds spent inside full-length confirmation
-    /// runs (a subset of `stats.wall_ms`) — the cost the coalesced
-    /// granularity attacks. Run metadata, not simulation output: like
-    /// `stats.wall_ms` it must be zeroed before any determinism
-    /// fingerprint.
+    /// runs (a subset of `stats.wall_ms`). Run metadata, not
+    /// simulation output: like `stats.wall_ms` it must be zeroed
+    /// before any determinism fingerprint.
     pub confirm_wall_ms: f64,
     /// Requests per screening probe.
     pub probe_requests: usize,
@@ -280,9 +279,10 @@ pub struct PlanReport {
 }
 
 /// Finds the minimum-resource configuration in `space` meeting
-/// `target` under `traffic`, by bound-pruned, calibration-cached,
-/// parallel probe-then-confirm search (see the module docs). The
-/// chosen configuration is bit-identical at any `budget.threads`.
+/// `target` under `traffic`, by bound-pruned, calibrate-once
+/// probe-then-confirm search (see the module docs). Apart from its
+/// wall-clock fields the report is a pure function of its inputs;
+/// `budget.threads` does not change it.
 ///
 /// # Errors
 ///
@@ -343,33 +343,48 @@ pub fn replay_plan_traced(
     traffic: &TrafficSpec,
     space: &PlanSpace,
     report: &PlanReport,
-) -> Result<(ClusterReport, crate::trace::Trace), HelmError> {
-    use crate::exec::RecordMode;
-    use crate::online::{run_cluster_mix_traced, CalibrationCache, ClusterSpec, PoissonArrivals};
-    let servers = report
+) -> Result<(ClusterReport, Trace), HelmError> {
+    let groups = report
         .groups
         .iter()
-        .map(|(t, _)| server.reconfigured(t.placement, t.batch))
-        .collect::<Result<Vec<_>, _>>()?;
-    let groups: Vec<(&Server, usize)> = servers
-        .iter()
-        .zip(&report.groups)
-        .map(|(s, (_, count))| (s, *count))
-        .collect();
+        .map(|(t, count)| {
+            let replica = server.reconfigured(t.placement, t.batch)?;
+            Ok((ServiceModel::calibrate(&replica, workload)?, *count))
+        })
+        .collect::<Result<Vec<_>, HelmError>>()?;
+    let mut trace = Trace::default();
+    let confirmed = run_candidate(
+        groups,
+        &report.chosen,
+        space,
+        traffic,
+        workload,
+        traffic.num_requests,
+        Some(&mut trace),
+    )?;
+    Ok((confirmed, trace))
+}
+
+/// The one cluster run behind every probe, confirmation, and traced
+/// replay: `groups` (calibrated models with their nonzero replica
+/// counts) under `candidate`'s dispatch and admission, serving the
+/// first `num_requests` arrivals of `traffic` — arrivals restart from
+/// the traffic seed, so the run is pure in its inputs.
+fn run_candidate(
+    groups: Vec<(ServiceModel, usize)>,
+    candidate: &Candidate,
+    space: &PlanSpace,
+    traffic: &TrafficSpec,
+    workload: &WorkloadSpec,
+    num_requests: usize,
+    trace: Option<&mut Trace>,
+) -> Result<ClusterReport, HelmError> {
     let spec = ClusterSpec::new(1)
-        .with_scheduler(report.chosen.scheduler)
-        .with_admission(report.chosen.admission)
+        .with_scheduler(candidate.scheduler)
+        .with_admission(candidate.admission)
         .with_deadlines(traffic.deadlines)
         .with_continuous(space.continuous)
-        .with_granularity(space.granularity)
         .with_record(RecordMode::Aggregate);
     let mut arrivals = PoissonArrivals::new(traffic.lambda, traffic.seed);
-    run_cluster_mix_traced(
-        &groups,
-        workload,
-        &mut arrivals,
-        traffic.num_requests,
-        spec,
-        &mut CalibrationCache::new(),
-    )
+    run_models(groups, workload, &mut arrivals, num_requests, spec, trace)
 }

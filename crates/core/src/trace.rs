@@ -12,10 +12,11 @@
 //! Attribution is computed unconditionally (it reads only instants
 //! the simulators already produce, so it costs a handful of integer
 //! subtractions per request and never perturbs the f64 timing
-//! stream). Span *trees* are collected only behind
-//! [`TraceMode::Spans`]; with [`TraceMode::Off`] every report is
-//! bit-identical to a run without tracing because the reports never
-//! contain the spans — traces travel on a separate channel.
+//! stream). Span *trees* are collected only when a run is handed a
+//! trace sink — the `*_traced` entry points — and every report is
+//! bit-identical to the untraced run because the reports never
+//! contain the spans: traces travel on a separate channel, composing
+//! with any `RecordMode` and `StepGranularity`.
 //!
 //! Coalesced cluster runs never re-run per-step: decode boundaries
 //! are synthesized from the calibrated service model's span
@@ -27,28 +28,6 @@
 use simcore::trace::{validate_nesting, NestingError, TraceSpan};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Whether span trees are collected during a run.
-///
-/// Orthogonal to `RecordMode` (what the *report* keeps) and
-/// `StepGranularity` (how the cluster engine batches events): any of
-/// the eight combinations is valid, and turning tracing on never
-/// changes a single byte of any report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// No spans are collected (attribution is still computed).
-    #[default]
-    Off,
-    /// Collect a span tree per request.
-    Spans,
-}
-
-impl TraceMode {
-    /// Whether span collection is enabled.
-    pub fn enabled(self) -> bool {
-        matches!(self, TraceMode::Spans)
-    }
-}
 
 /// Critical-path attribution: an exact partition of elapsed time into
 /// queue-bound, compute-bound, and transfer-bound ticks.

@@ -39,13 +39,19 @@ fn assert_invalid_config(result: Result<impl std::fmt::Debug, HelmError>, what: 
     }
 }
 
-/// An empty cluster mix is a typed error, not an assert.
+/// An empty cluster mix is a typed error, not an assert — and so is a
+/// homogeneous cluster whose replica count was zeroed after
+/// construction (it is the one-group mix with no pipelines).
 #[test]
 fn empty_cluster_mix_is_a_typed_error() {
     let workload = WorkloadSpec::new(32, 3, 1);
     let mut arrivals = PoissonArrivals::new(1.0, 7);
     let result = run_cluster_mix(&[], &workload, &mut arrivals, 10, ClusterSpec::new(1));
     assert_invalid_config(result, "empty mix");
+    let mut spec = ClusterSpec::new(1);
+    spec.pipelines = 0;
+    let result = run_cluster(&small_server(), &workload, &mut arrivals, 10, spec);
+    assert_invalid_config(result, "zero pipelines");
 }
 
 /// Every degenerate plan input comes back as `InvalidConfig`: an

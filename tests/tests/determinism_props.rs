@@ -148,8 +148,8 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
     }
 }
 
-/// Tracing is a side channel, never a semantics knob: enabling
-/// `TraceMode::Spans` must leave every report — offline `RunReport`
+/// Tracing is a side channel, never a semantics knob: handing a run a
+/// trace sink must leave every report — offline `RunReport`
 /// and online `ClusterReport`, in both recording modes — bit-identical
 /// to the untraced run. Attribution is computed unconditionally, so
 /// it appears (identically) in both renderings; only the span trees

@@ -4,9 +4,10 @@
 //! under randomized load/dispatch, saturation absorption by extra
 //! replicas, and the cancelled-transfer path of the byte auditor.
 
+use helm_core::exec::RecordMode;
 use helm_core::online::{
-    run_cluster, run_cluster_mix, run_online, run_online_des, AdmissionPolicy, ClusterSpec,
-    DeadlineSpec, PoissonArrivals, SchedulerKind,
+    run_cluster, run_cluster_mix, run_online, AdmissionPolicy, ClusterSpec, DeadlineSpec,
+    PoissonArrivals, SchedulerKind,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
@@ -40,13 +41,21 @@ fn loop_and_des_agree_with_arrivals_landing_mid_batch() {
     // λ chosen so the mean inter-arrival (~10 s) is far below the
     // pipeline service time (minutes): nearly every arrival lands
     // while a batch is in flight and must wait for the free-up
-    // instant. The loop and the event engine must then agree on the
-    // exact batch formation, not just on aggregate statistics.
+    // instant. The loop and a one-pipeline run of the event engine
+    // must then agree on the exact batch formation, not just on
+    // aggregate statistics.
     let ws = WorkloadSpec::paper_default();
     for (placement, batch) in [(PlacementKind::Baseline, 8u32), (PlacementKind::AllCpu, 44)] {
         let s = server(placement, batch);
         let a = run_online(&s, &ws, &mut PoissonArrivals::new(0.1, 77), 64).expect("loop");
-        let b = run_online_des(&s, &ws, &mut PoissonArrivals::new(0.1, 77), 64).expect("des");
+        let b = run_cluster(
+            &s,
+            &ws,
+            &mut PoissonArrivals::new(0.1, 77),
+            64,
+            ClusterSpec::new(1),
+        )
+        .expect("des");
         // Mid-batch arrivals actually happened: some batch is > 1.
         assert!(
             a.batch_sizes.iter().any(|&x| x > 1),
@@ -212,42 +221,80 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Sharded dispatch conserves requests: whatever the arrival
-    /// rate, seed, replica count, scheduler, and batching granularity,
-    /// every arrival is served exactly once and the audit ledgers
-    /// balance.
+    /// rate, seed, replica count, scheduler, admission policy,
+    /// deadlines, batching granularity, and record mode, every
+    /// arrival is served, rejected, or expired exactly once and the
+    /// audit ledgers balance. A homogeneous cluster is also exactly a
+    /// one-group mix: `run_cluster` over `ClusterSpec::new(n)` and
+    /// `run_cluster_mix` over `[(server, n)]` render `Debug`-identical
+    /// reports.
     #[test]
     fn sharded_dispatch_conserves_requests(
         lambda in 0.01f64..0.5,
         seed in 0u64..1000,
         pipelines in 1usize..=5,
-        jsq in any::<bool>(),
+        sched_idx in 0usize..4,
+        adm_idx in 0usize..3,
         continuous in any::<bool>(),
+        aggregate in any::<bool>(),
+        deadline in any::<bool>(),
+        slo_s in 150.0f64..2000.0,
         n in 1usize..=40,
     ) {
         simaudit::force_enable();
         let s = server(PlacementKind::Helm, 4);
         let spec = ClusterSpec::new(pipelines)
-            .with_scheduler(if jsq {
-                SchedulerKind::JoinShortestQueue
+            .with_scheduler(
+                [
+                    SchedulerKind::RoundRobin,
+                    SchedulerKind::JoinShortestQueue,
+                    SchedulerKind::LeastFinishTime,
+                    SchedulerKind::DeadlineAware,
+                ][sched_idx],
+            )
+            .with_admission(
+                [
+                    AdmissionPolicy::AcceptAll,
+                    AdmissionPolicy::QueueCap(3),
+                    AdmissionPolicy::DeadlineFeasible,
+                ][adm_idx],
+            )
+            .with_deadlines(if deadline {
+                DeadlineSpec::Fixed(SimDuration::from_secs(slo_s))
             } else {
-                SchedulerKind::RoundRobin
+                DeadlineSpec::None
             })
-            .with_continuous(continuous);
+            .with_continuous(continuous)
+            .with_record(if aggregate {
+                RecordMode::Aggregate
+            } else {
+                RecordMode::Full
+            });
         let ws = WorkloadSpec::paper_default();
         let r = run_cluster(&s, &ws, &mut PoissonArrivals::new(lambda, seed), n, spec)
             .expect("cluster run");
-        prop_assert_eq!(r.served, n as u64);
-        prop_assert_eq!(r.queue_delay.count(), n as u64);
-        prop_assert_eq!(r.e2e_latency.count(), n as u64);
+        let mix = run_cluster_mix(
+            &[(&s, pipelines)],
+            &ws,
+            &mut PoissonArrivals::new(lambda, seed),
+            n,
+            spec,
+        )
+        .expect("one-group mix run");
+        prop_assert_eq!(format!("{r:?}"), format!("{mix:?}"), "homogeneous != one-group mix");
+        prop_assert_eq!(r.served + r.rejected + r.expired, n as u64);
+        prop_assert_eq!(r.queue_delay.count(), r.served);
+        prop_assert_eq!(r.e2e_latency.count(), r.served);
         let per_pipe: u64 = r.per_pipeline.iter().map(|p| p.served).sum();
-        prop_assert_eq!(per_pipe, n as u64);
-        if !continuous {
+        prop_assert_eq!(per_pipe, r.served);
+        if !continuous && !aggregate {
             let batched: u32 = r.batch_sizes.iter().sum();
-            prop_assert_eq!(batched as usize, n);
+            prop_assert_eq!(u64::from(batched), r.served);
         }
         let audit = r.audit.as_ref().expect("auditing forced on");
         prop_assert!(audit.is_clean(), "audit:\n{}", audit);
-        prop_assert_eq!(audit.completed_with_prefix("requests:"), n as u64);
+        prop_assert_eq!(audit.enqueued_with_prefix("requests:"), n as u64);
+        prop_assert_eq!(audit.completed_with_prefix("requests:"), r.served);
     }
 
     /// Admission control and deadline-aware dispatch never lose a

@@ -1,18 +1,18 @@
 //! Properties of the capacity planner: soundness of the analytical
 //! attainment bound (bound-feasible ⊇ DES-feasible over random
-//! traffic, mixes, schedulers, and admission policies), thread-count
-//! determinism of the search, and minimum-resource correctness of the
-//! chosen configuration.
+//! traffic, mixes, schedulers, and admission policies), determinism
+//! of the search whatever `SearchBudget::threads` says, and
+//! minimum-resource correctness of the chosen configuration.
 
 use helm_core::exec::RecordMode;
 use helm_core::online::{
     run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec, DeadlineSpec,
-    PoissonArrivals, SchedulerKind, ServiceModel, StepGranularity,
+    PoissonArrivals, SchedulerKind, ServiceModel,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::planner::{
-    attainment_bound, plan, GroupTemplate, PlanReport, PlanSpace, PlanTarget, SearchBudget,
-    TrafficSpec,
+    attainment_bound, plan, replay_plan_traced, GroupTemplate, PlanReport, PlanSpace, PlanTarget,
+    SearchBudget, TrafficSpec,
 };
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -146,8 +146,10 @@ proptest! {
     }
 
     /// The planner's full report — chosen configuration, confirmation
-    /// run, search statistics — is bit-identical at any thread count
-    /// and across repeated runs.
+    /// run, search statistics — is bit-identical across repeated runs
+    /// and whatever `SearchBudget::threads` asks for (callers such as
+    /// the end-to-end benchmark rely on `threads` never changing a
+    /// plan).
     #[test]
     fn plan_is_thread_deterministic(
         lambda in 0.1f64..1.0,
@@ -165,7 +167,6 @@ proptest! {
             schedulers: vec![SchedulerKind::JoinShortestQueue, SchedulerKind::DeadlineAware],
             admissions: vec![AdmissionPolicy::AcceptAll, AdmissionPolicy::DeadlineFeasible],
             continuous: false,
-            granularity: StepGranularity::default(),
             probe_requests: 8,
         };
         let traffic = TrafficSpec::new(lambda, 24, seed)
@@ -185,45 +186,6 @@ proptest! {
             );
             prop_assert_eq!(&parallel, &reference, "planner diverged at {} threads", threads);
         }
-    }
-
-    /// Step granularity is a pure perf knob: per-step and coalesced
-    /// probes/confirmations drive the planner to byte-identical
-    /// reports (wall clocks zeroed), in both batching modes.
-    #[test]
-    fn plan_is_granularity_invariant(
-        lambda in 0.1f64..1.0,
-        slo_ms in 1_000.0..30_000.0f64,
-        continuous in any::<bool>(),
-        seed in 0u64..10_000,
-    ) {
-        let workload = WorkloadSpec::new(32, 3, 1);
-        let base = server(PlacementKind::Baseline, 1);
-        let space = |granularity| PlanSpace {
-            templates: TEMPLATES
-                .iter()
-                .map(|&(p, b)| GroupTemplate::new(p, b))
-                .collect(),
-            max_replicas: 2,
-            schedulers: vec![SchedulerKind::JoinShortestQueue, SchedulerKind::DeadlineAware],
-            admissions: vec![AdmissionPolicy::AcceptAll, AdmissionPolicy::DeadlineFeasible],
-            continuous,
-            granularity,
-            probe_requests: 8,
-        };
-        let traffic = TrafficSpec::new(lambda, 24, seed)
-            .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_millis(slo_ms)));
-        let target = PlanTarget::attainment(0.8);
-        let budget = SearchBudget { threads: 1, max_evals: 0 };
-        let step = fingerprint(
-            &plan(&base, &workload, &traffic, target, &space(StepGranularity::PerStep), budget)
-                .unwrap(),
-        );
-        let coalesced = fingerprint(
-            &plan(&base, &workload, &traffic, target, &space(StepGranularity::Coalesced), budget)
-                .unwrap(),
-        );
-        prop_assert_eq!(&coalesced, &step, "granularity changed the plan report");
     }
 }
 
@@ -246,7 +208,6 @@ fn planner_finds_minimal_feasible_cluster() {
         ],
         admissions: vec![AdmissionPolicy::AcceptAll],
         continuous: false,
-        granularity: StepGranularity::default(),
         probe_requests: 10,
     };
     let traffic = TrafficSpec::new(0.2, 30, 7)
@@ -275,6 +236,45 @@ fn planner_finds_minimal_feasible_cluster() {
     assert!(report.stats.evaluated >= 1);
 }
 
+/// The traced replay reruns the judged confirmation: its report is
+/// byte-identical to `PlanReport::confirmed`, with one span tree per
+/// served request.
+#[test]
+fn traced_replay_reproduces_the_confirmation_run() {
+    let workload = WorkloadSpec::new(32, 3, 1);
+    let base = server(PlacementKind::Baseline, 1);
+    let space = PlanSpace {
+        templates: TEMPLATES
+            .iter()
+            .map(|&(p, b)| GroupTemplate::new(p, b))
+            .collect(),
+        max_replicas: 2,
+        schedulers: vec![
+            SchedulerKind::JoinShortestQueue,
+            SchedulerKind::DeadlineAware,
+        ],
+        admissions: vec![AdmissionPolicy::AcceptAll],
+        continuous: true,
+        probe_requests: 8,
+    };
+    let traffic = TrafficSpec::new(0.5, 24, 3)
+        .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_secs(20.0)));
+    let report = plan(
+        &base,
+        &workload,
+        &traffic,
+        PlanTarget::attainment(0.8),
+        &space,
+        SearchBudget::default(),
+    )
+    .unwrap();
+    let (replayed, trace) =
+        replay_plan_traced(&base, &workload, &traffic, &space, &report).unwrap();
+    assert_eq!(format!("{replayed:?}"), format!("{:?}", report.confirmed));
+    assert_eq!(trace.requests.len() as u64, replayed.served);
+    assert!(trace.validate().is_ok());
+}
+
 /// A deadline no replica can physically meet: the bound prunes the
 /// entire lattice without one DES probe, and the planner still
 /// returns an honest best-effort report (single fallback probe, full
@@ -292,7 +292,6 @@ fn plan_survives_unreachable_targets() {
         schedulers: vec![SchedulerKind::JoinShortestQueue],
         admissions: vec![AdmissionPolicy::AcceptAll],
         continuous: false,
-        granularity: StepGranularity::default(),
         probe_requests: 6,
     };
     let traffic = TrafficSpec::new(0.5, 20, 11)

@@ -2,7 +2,7 @@
 //! online-serving statistics.
 
 use helm_core::energy::assess;
-use helm_core::online::{run_online, run_online_des, PoissonArrivals};
+use helm_core::online::{run_cluster, run_online, ClusterSpec, PoissonArrivals};
 use helm_core::placement::PlacementKind;
 use helm_core::policy::Policy;
 use helm_core::server::Server;
@@ -65,7 +65,8 @@ proptest! {
     }
 
     /// Online reports are internally consistent and the two
-    /// implementations agree, for arbitrary loads.
+    /// implementations — the loop and a one-pipeline event-driven
+    /// cluster — agree, for arbitrary loads.
     #[test]
     fn online_statistics_consistency(
         lambda_milli in 1u32..=400, // 0.001 .. 0.4 req/s
@@ -78,8 +79,14 @@ proptest! {
         let ws = WorkloadSpec::paper_default();
         let a = run_online(&server, &ws, &mut PoissonArrivals::new(lambda, seed), n)
             .expect("serves");
-        let b = run_online_des(&server, &ws, &mut PoissonArrivals::new(lambda, seed), n)
-            .expect("serves");
+        let b = run_cluster(
+            &server,
+            &ws,
+            &mut PoissonArrivals::new(lambda, seed),
+            n,
+            ClusterSpec::new(1),
+        )
+        .expect("serves");
         prop_assert_eq!(a.served, n as u64);
         prop_assert_eq!(a.queue_delay.count(), n as u64);
         prop_assert_eq!(a.e2e_latency.count(), n as u64);
