@@ -79,6 +79,21 @@ fn wants_json(args: &Args) -> Result<bool, ArgError> {
     }
 }
 
+/// A float as a JSON number, or `null` when it is NaN or infinite
+/// (JSON spells neither). The format's precision passes through, so
+/// `{:.6}` prints a finite value exactly as it would print the `f64`.
+struct JsonNum(f64);
+
+impl std::fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            std::fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
 /// Writes a collected trace as chrome-trace JSON; in text mode also
 /// says where it went.
 fn write_trace(path: &str, trace: &helm_core::trace::Trace, json: bool) -> Result<(), ArgError> {
@@ -148,18 +163,21 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
              \"ttft_ms\":{:.3},\"tbt_ms\":{:.3},\"throughput_tps\":{:.6},\
              \"h2d_bytes\":{},\"d2h_bytes\":{},\
              \"compute_frac\":{:.6},\"transfer_frac\":{:.6},\
-             \"weights_pct\":{{\"disk\":{disk:.3},\"cpu\":{cpu:.3},\"gpu\":{gpu:.3}}}}}",
+             \"weights_pct\":{{\"disk\":{:.3},\"cpu\":{:.3},\"gpu\":{:.3}}}}}",
             server.model().name(),
             server.system().memory().kind(),
             server.policy().placement().as_str(),
             server.policy().effective_batch(),
-            report.ttft_ms(),
-            report.tbt_ms(),
-            report.throughput_tps(),
+            JsonNum(report.ttft_ms()),
+            JsonNum(report.tbt_ms()),
+            JsonNum(report.throughput_tps()),
             report.total_h2d_bytes().as_u64(),
             report.total_d2h_bytes().as_u64(),
-            report.attribution.compute_fraction(),
-            report.attribution.transfer_fraction(),
+            JsonNum(report.attribution.compute_fraction()),
+            JsonNum(report.attribution.transfer_fraction()),
+            JsonNum(disk),
+            JsonNum(cpu),
+            JsonNum(gpu),
         );
     } else {
         println!("{}", report.summary());
@@ -367,15 +385,15 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
                     p.rejected,
                     p.expired,
                     p.batches,
-                    p.busy.as_secs(),
-                    p.utilization
+                    JsonNum(p.busy.as_secs()),
+                    JsonNum(p.utilization)
                 )
             })
             .collect();
         println!(
             "{{\"model\":\"{}\",\"memory\":\"{}\",\"scheduler\":\"{}\",\"admission\":\"{}\",\
              \"continuous\":{},\
-             \"lambda\":{lambda},\"requests\":{requests},\"seed\":{seed},\
+             \"lambda\":{},\"requests\":{requests},\"seed\":{seed},\
              \"cluster_size\":{cluster_size},\"groups\":[{}],\
              \"served\":{},\"rejected\":{},\"expired\":{},\"met\":{},\"slo_violations\":{},\
              \"attainment\":{:.6},\"makespan_s\":{:.6},\"queue_delay_ms_mean\":{:.3},\
@@ -388,23 +406,24 @@ fn serve_online(args: &Args) -> Result<(), ArgError> {
             spec.scheduler.as_str(),
             admission,
             spec.continuous,
+            JsonNum(lambda),
             groups.join(","),
             report.served,
             report.rejected,
             report.expired,
             report.met,
             report.slo_violations,
-            report.slo_attainment(),
-            report.makespan.as_secs(),
-            report.mean_queue_delay_ms(),
-            report.e2e_percentile_ms(50.0),
-            report.e2e_percentile_ms(95.0),
-            report.tokens_per_s,
-            report.tokens_per_s_met,
-            report.utilization,
-            report.attribution.queue_fraction(),
-            report.attribution.compute_fraction(),
-            report.attribution.transfer_fraction(),
+            JsonNum(report.slo_attainment()),
+            JsonNum(report.makespan.as_secs()),
+            JsonNum(report.mean_queue_delay_ms()),
+            JsonNum(report.e2e_percentile_ms(50.0)),
+            JsonNum(report.e2e_percentile_ms(95.0)),
+            JsonNum(report.tokens_per_s),
+            JsonNum(report.tokens_per_s_met),
+            JsonNum(report.utilization),
+            JsonNum(report.attribution.queue_fraction()),
+            JsonNum(report.attribution.compute_fraction()),
+            JsonNum(report.attribution.transfer_fraction()),
             pipes.join(",")
         );
         return Ok(());
@@ -659,8 +678,8 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
             })
             .collect();
         println!(
-            "{{\"model\":\"{}\",\"memory\":\"{}\",\"target\":{target},\
-             \"lambda\":{lambda},\"requests\":{requests},\"seed\":{seed},\
+            "{{\"model\":\"{}\",\"memory\":\"{}\",\"target\":{},\
+             \"lambda\":{},\"requests\":{requests},\"seed\":{seed},\
              \"feasible\":{},\"attainment\":{:.6},\"probe_attainment\":{:.6},\
              \"total_replicas\":{},\"scheduler\":\"{}\",\"admission\":\"{}\",\
              \"groups\":[{}],\"candidates\":{},\"evaluated\":{},\"pruned\":{},\
@@ -669,9 +688,11 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
              \"queue_frac\":{:.6},\"compute_frac\":{:.6},\"transfer_frac\":{:.6}}}",
             server.model().name(),
             server.system().memory().kind(),
+            JsonNum(target),
+            JsonNum(lambda),
             report.feasible,
-            report.attainment,
-            report.probe_attainment,
+            JsonNum(report.attainment),
+            JsonNum(report.probe_attainment),
             report.chosen.total_replicas(),
             report.chosen.scheduler.as_str(),
             report.chosen.admission,
@@ -682,11 +703,11 @@ pub fn plan(args: &Args) -> Result<(), ArgError> {
             report.confirmations,
             report.calibrations,
             report.probe_requests,
-            report.stats.wall_ms,
-            report.confirm_wall_ms,
-            report.attribution.queue_fraction(),
-            report.attribution.compute_fraction(),
-            report.attribution.transfer_fraction()
+            JsonNum(report.stats.wall_ms),
+            JsonNum(report.confirm_wall_ms),
+            JsonNum(report.attribution.queue_fraction()),
+            JsonNum(report.attribution.compute_fraction()),
+            JsonNum(report.attribution.transfer_fraction())
         );
         return Ok(());
     }
@@ -1205,6 +1226,17 @@ mod tests {
         ])
         .contains("tight-frac"));
         assert!(with(&["--format", "yaml"]).contains("format"));
+    }
+
+    #[test]
+    fn json_numbers_are_null_when_not_finite() {
+        assert_eq!(format!("{:.6}", JsonNum(0.5)), format!("{:.6}", 0.5f64));
+        assert_eq!(format!("{:.3}", JsonNum(-1.0 / 3.0)), "-0.333");
+        assert_eq!(format!("{}", JsonNum(1e-3)), format!("{}", 1e-3f64));
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(format!("{:.6}", JsonNum(v)), "null");
+            assert_eq!(format!("{}", JsonNum(v)), "null");
+        }
     }
 
     #[test]

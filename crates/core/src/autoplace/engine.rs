@@ -167,12 +167,14 @@ fn zoom_steps(fine: u32) -> Vec<u32> {
 /// (`None` when no sound bound exists — those sort first and are
 /// always costed). No cost table yet: screening's bound reads the
 /// per-layer cost functions directly, and only candidates that reach
-/// a pipeline run pay for a table build.
+/// a pipeline run pay for a table build. The placement is built once
+/// per lattice point and shared by every batch expanded from it and
+/// by the evaluation that costs it.
 struct Screened {
     mha: u32,
     ffn: u32,
     batch: u32,
-    placement: ModelPlacement,
+    placement: Arc<ModelPlacement>,
     bound: Option<f64>,
 }
 
@@ -183,7 +185,7 @@ struct Evaluation {
     mha: u32,
     ffn: u32,
     batch: u32,
-    placement: ModelPlacement,
+    placement: Arc<ModelPlacement>,
     table: LayerCostTable,
     report: RunReport,
 }
@@ -337,7 +339,9 @@ impl<'a> SearchEngine<'a> {
             mha_gpu_percent: f64::from(winner.mha) / 2.0,
             ffn_gpu_percent: f64::from(winner.ffn) / 2.0,
             batch: winner.batch,
-            placement: winner.placement,
+            // The levels' schedules are gone, so the winning
+            // evaluation holds the last reference: this moves.
+            placement: Arc::unwrap_or_clone(winner.placement),
             report,
             stats: state.stats,
             frontier: state.frontier,
@@ -513,7 +517,7 @@ impl<'a> SearchEngine<'a> {
         if batches.is_empty() {
             return Vec::new();
         }
-        let placement = self.template.build(mha_pct, ffn_pct, other_pct);
+        let placement = Arc::new(self.template.build(mha_pct, ffn_pct, other_pct));
         batches
             .into_iter()
             .map(|batch| {
@@ -536,7 +540,7 @@ impl<'a> SearchEngine<'a> {
                     mha,
                     ffn,
                     batch,
-                    placement: placement.clone(),
+                    placement: Arc::clone(&placement),
                     bound,
                 }
             })
@@ -591,7 +595,7 @@ impl<'a> SearchEngine<'a> {
                 mha: screened.mha,
                 ffn: screened.ffn,
                 batch: screened.batch,
-                placement: screened.placement.clone(),
+                placement: Arc::clone(&screened.placement),
                 table,
                 report,
             })),

@@ -31,9 +31,9 @@
 //! The bound reads only each layer's [`load_time`] and its token-1
 //! decode [`compute_time`] — the exact scalars `LayerCostTable::build`
 //! would cache — so screening computes it directly from the free
-//! functions and never pays for the full table (prefill costs, DES
-//! flows, write-back modeling). Only candidates that survive to a
-//! pipeline run build a table.
+//! functions and never pays for the full table (prefill costs,
+//! write-back modeling). Only candidates that survive to a pipeline
+//! run build a table.
 
 use crate::exec::{compute_time, load_time, PipelineInputs, SYNC_OVERHEAD};
 use crate::metrics::Stage;

@@ -16,7 +16,6 @@
 //! per-tier rate caps.
 
 use crate::error::HelmError;
-use crate::exec_des::Flow;
 use crate::metrics::{LayerStepRecord, RunReport, Stage, StepTotals};
 use crate::placement::{LayerPlacement, ModelPlacement, Tier};
 use crate::policy::Policy;
@@ -121,12 +120,8 @@ enum DecodeCompute {
 pub(crate) struct WritebackCost {
     /// D2H payload of one MHA step.
     pub(crate) bytes: ByteSize,
-    /// Full standalone write-back time (analytic executor).
+    /// Full standalone write-back time.
     pub(crate) time: SimDuration,
-    /// Streaming rate cap (DES executor).
-    pub(crate) cap: Bandwidth,
-    /// Fixed (non-streaming) share of `time` (DES executor).
-    pub(crate) fixed: SimDuration,
 }
 
 /// Everything about a pipeline run that does not depend on the token
@@ -136,12 +131,13 @@ pub(crate) struct WritebackCost {
 /// and almost everything it used to recompute per step is
 /// token-invariant: per-layer weight [`load_time`] (the CPU/disk
 /// split and its capped-link water-filling), per-layer offloaded H2D
-/// byte counts, per-layer DES weight flows, the KV write-back cost of
-/// each stage, and all decode compute except the attention GEMM —
-/// which is cached as coefficients of the context length
-/// (`DecodeCompute`). Both executors ([`run_pipeline_with`],
-/// [`crate::exec_des::run_pipeline_des_with`]) and the autoplace
-/// bound ([`crate::autoplace`]) consume the same table.
+/// byte counts, the KV write-back cost of each stage, and all decode
+/// compute except the attention GEMM — which is cached as
+/// coefficients of the context length (`DecodeCompute`). Both
+/// executors ([`run_pipeline_with`],
+/// [`crate::exec_des::run_pipeline_des_with`]) consume the same
+/// table; the DES prices its own weight and write-back flows once per
+/// run, so analytic-only callers never pay for them.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
     layers: Vec<LayerCosts>,
@@ -168,8 +164,6 @@ struct LayerCosts {
     offloaded: ByteSize,
     prefill_compute: SimDuration,
     decode_compute: DecodeCompute,
-    /// The layer's weight streams for the DES executor.
-    flows: Vec<Flow>,
 }
 
 impl LayerCostTable {
@@ -191,7 +185,7 @@ impl LayerCostTable {
         let gpu = inp.system.gpu();
 
         let mut layers = Vec::with_capacity(placed.len());
-        for (j, lp) in placed.iter().enumerate() {
+        for lp in placed {
             let layer = lp.layer();
             let decode_compute = match layer.kind() {
                 LayerKind::Mha => {
@@ -226,15 +220,16 @@ impl LayerCostTable {
                 }
                 _ => DecodeCompute::Invariant(compute_time(inp, layer, Stage::Decode, 1)),
             };
+            let cpu_bytes = lp.bytes_on(Tier::Cpu, dtype);
+            let disk_bytes = lp.bytes_on(Tier::Disk, dtype);
             layers.push(LayerCosts {
                 kind: layer.kind(),
                 load: load_time(inp, lp, cpu_ws, disk_ws)?,
-                cpu_bytes: lp.bytes_on(Tier::Cpu, dtype),
-                disk_bytes: lp.bytes_on(Tier::Disk, dtype),
-                offloaded: lp.offloaded_bytes(dtype),
+                cpu_bytes,
+                disk_bytes,
+                offloaded: cpu_bytes + disk_bytes,
                 prefill_compute: compute_time(inp, layer, Stage::Prefill, 0),
                 decode_compute,
-                flows: crate::exec_des::host_flows(inp, j, cpu_ws, disk_ws, None)?,
             });
         }
 
@@ -243,21 +238,11 @@ impl LayerCostTable {
                 let bytes = ByteSize::from_bytes(
                     u64::from(effective_batch) * new_tokens as u64 * kv_per_token,
                 );
-                let unavailable = HelmError::TierUnavailable { tier: "cpu" };
                 let time = inp
                     .system
                     .tier_writeback_time(Tier::Cpu, bytes, Some(cpu_ws))
-                    .ok_or(unavailable.clone())?;
-                let cap = inp
-                    .system
-                    .tier_writeback_bandwidth(Tier::Cpu, bytes, Some(cpu_ws))
-                    .ok_or(unavailable)?;
-                Ok(WritebackCost {
-                    bytes,
-                    time,
-                    cap,
-                    fixed: time - cap.time_for(bytes),
-                })
+                    .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
+                Ok(WritebackCost { bytes, time })
             };
             Some([cost(inp.workload.prompt_len)?, cost(1)?])
         } else {
@@ -290,10 +275,6 @@ impl LayerCostTable {
 
     pub(crate) fn offloaded_bytes(&self, j: usize) -> ByteSize {
         self.layers[j].offloaded
-    }
-
-    pub(crate) fn weight_flows(&self, j: usize) -> &[Flow] {
-        &self.layers[j].flows
     }
 
     pub(crate) fn writeback(&self, stage: Stage) -> Option<&WritebackCost> {
@@ -853,42 +834,21 @@ pub fn load_time(
     cpu_ws: ByteSize,
     disk_ws: ByteSize,
 ) -> Result<SimDuration, HelmError> {
-    let dtype = inp.placement.dtype();
-    let portions: Vec<(Tier, ByteSize, ByteSize)> = [(Tier::Cpu, cpu_ws), (Tier::Disk, disk_ws)]
-        .into_iter()
-        .filter_map(|(tier, ws)| {
-            let bytes = lp.bytes_on(tier, dtype);
-            (bytes > ByteSize::ZERO).then_some((tier, bytes, ws))
-        })
-        .collect();
-    match portions.len() {
-        0 => Ok(SimDuration::ZERO),
-        1 => {
-            let (tier, bytes, ws) = portions[0];
-            inp.system
-                .tier_transfer_time(tier, bytes, Some(ws))
-                .ok_or(HelmError::TierUnavailable {
-                    tier: tier_name(tier),
-                })
-        }
-        _ => {
-            let total: ByteSize = portions.iter().map(|&(_, b, _)| b).sum();
-            let mut link = CappedLink::new(inp.system.link_capacity(total));
+    let mut portions = tier_portions(lp, inp.placement.dtype(), cpu_ws, disk_ws);
+    match (portions.next(), portions.next()) {
+        (None, _) => Ok(SimDuration::ZERO),
+        (Some((tier, bytes, ws)), None) => inp
+            .system
+            .tier_transfer_time(tier, bytes, Some(ws))
+            .ok_or(HelmError::TierUnavailable {
+                tier: tier_name(tier),
+            }),
+        (Some(cpu), Some(disk)) => {
+            let mut link = CappedLink::new(inp.system.link_capacity(cpu.1 + disk.1));
             let mut fixed = SimDuration::ZERO;
-            for &(tier, bytes, ws) in &portions {
-                let unavailable = HelmError::TierUnavailable {
-                    tier: tier_name(tier),
-                };
-                let cap: Bandwidth = inp
-                    .system
-                    .tier_bandwidth(tier, bytes, Some(ws))
-                    .ok_or(unavailable.clone())?;
-                let full = inp
-                    .system
-                    .tier_transfer_time(tier, bytes, Some(ws))
-                    .ok_or(unavailable)?;
-                // The non-streaming share of the standalone transfer.
-                fixed = fixed.max(full - cap.time_for(bytes));
+            for (tier, bytes, ws) in [cpu, disk] {
+                let (cap, setup) = stream_price(inp, tier, bytes, ws)?;
+                fixed = fixed.max(setup);
                 link.start(SimTime::ZERO, bytes.as_f64(), cap);
             }
             let mut now = SimTime::ZERO;
@@ -899,6 +859,45 @@ pub fn load_time(
             Ok(fixed + (now - SimTime::ZERO))
         }
     }
+}
+
+/// The host and storage portions of one layer's offloaded weights as
+/// `(tier, bytes, tier working set)`, cpu first, empty tiers skipped
+/// — what [`load_time`] and the DES executor's weight flows stream.
+pub(crate) fn tier_portions(
+    lp: &LayerPlacement,
+    dtype: DType,
+    cpu_ws: ByteSize,
+    disk_ws: ByteSize,
+) -> impl Iterator<Item = (Tier, ByteSize, ByteSize)> + '_ {
+    [(Tier::Cpu, cpu_ws), (Tier::Disk, disk_ws)]
+        .into_iter()
+        .filter_map(move |(tier, ws)| {
+            let bytes = lp.bytes_on(tier, dtype);
+            (bytes > ByteSize::ZERO).then_some((tier, bytes, ws))
+        })
+}
+
+/// One portion priced as a capped stream: its tier's rate cap and the
+/// fixed (non-streaming) share of its standalone transfer time.
+pub(crate) fn stream_price(
+    inp: &PipelineInputs<'_>,
+    tier: Tier,
+    bytes: ByteSize,
+    ws: ByteSize,
+) -> Result<(Bandwidth, SimDuration), HelmError> {
+    let unavailable = HelmError::TierUnavailable {
+        tier: tier_name(tier),
+    };
+    let cap = inp
+        .system
+        .tier_bandwidth(tier, bytes, Some(ws))
+        .ok_or(unavailable.clone())?;
+    let full = inp
+        .system
+        .tier_transfer_time(tier, bytes, Some(ws))
+        .ok_or(unavailable)?;
+    Ok((cap, full - cap.time_for(bytes)))
 }
 
 /// The named kernel plan one layer issues at one pipeline step —

@@ -16,14 +16,20 @@
 //! The two executors agree exactly when neither relaxation applies
 //! (no KV offloading, single-tier placement) — a cross-validation
 //! property the test suite pins down — and the DES is never slower.
+//!
+//! Compute, byte counts and write-back sizes come from the shared
+//! [`LayerCostTable`]. The streams themselves (per-tier weight flows
+//! and write-back flows, each with its rate cap and fixed cost) are
+//! priced here, once per run, so the analytic executor's table never
+//! carries them.
 
 use crate::error::HelmError;
 use crate::exec::{
-    audit_placement_feasibility, tier_name, LayerCostTable, PipelineInputs, RecordMode,
-    StepAttribution, SYNC_OVERHEAD,
+    audit_placement_feasibility, stream_price, tier_portions, LayerCostTable, PipelineInputs,
+    RecordMode, StepAttribution, SYNC_OVERHEAD,
 };
 use crate::metrics::{LayerStepRecord, RunReport, Stage, StepTotals};
-use crate::placement::Tier;
+use crate::placement::{LayerPlacement, Tier};
 use llm::layers::LayerKind;
 use simaudit::Auditor;
 use simcore::stats::SeriesStats;
@@ -44,9 +50,9 @@ pub fn run_pipeline_des(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError
 }
 
 /// [`run_pipeline_des`] over a prebuilt [`LayerCostTable`] with an
-/// explicit [`RecordMode`]: per-layer weight flows, compute, and
-/// write-back costs come from the table; only the context-dependent
-/// KV inbound stream is priced live.
+/// explicit [`RecordMode`]: compute and byte counts come from the
+/// table, the weight and write-back flows are priced once up front,
+/// and only the context-dependent KV inbound stream is priced live.
 ///
 /// # Errors
 ///
@@ -62,6 +68,20 @@ pub fn run_pipeline_des_with(
     let gpu = inp.system.gpu();
     let micro = inp.policy.num_gpu_batches();
     let effective_batch = inp.policy.effective_batch();
+
+    // Every layer's weight flows and each stage's write-back flow,
+    // priced once for the whole run.
+    let disk_ws = inp.placement.total_on(Tier::Disk);
+    let mut weight_flows = inp
+        .placement
+        .layers()
+        .iter()
+        .map(|lp| host_flows(inp, lp, table.cpu_ws(), disk_ws))
+        .collect::<Result<Vec<_>, _>>()?;
+    let writeback_flows = [
+        writeback_flow(inp, table, Stage::Prefill)?,
+        writeback_flow(inp, table, Stage::Decode)?,
+    ];
 
     // Links are persistent across the whole run.
     let link_cap = inp.system.link_capacity(ByteSize::from_gb(1.0));
@@ -81,12 +101,6 @@ pub fn run_pipeline_des_with(
 
     let mut audit = Auditor::capture();
     audit_placement_feasibility(&mut audit, inp);
-
-    // Reusable scratch for the one step shape that needs a combined
-    // flow list (cached weight flows + the live KV stream). Cleared
-    // per step, so the token loop allocates nothing after the first
-    // KV step regardless of run length.
-    let mut kv_scratch: Vec<Flow> = Vec::new();
 
     // A helper that streams a set of flows on a link starting at
     // `start` (each after its fixed setup/latency cost, overlapped
@@ -121,7 +135,7 @@ pub fn run_pipeline_des_with(
     };
 
     // Pipeline fill: layer 0's weights stream alone.
-    now = drain(&mut h2d, &mut audit, now, table.weight_flows(0));
+    now = drain(&mut h2d, &mut audit, now, &weight_flows[0]);
     let mut att = StepAttribution::default();
     att.close_at(now, true);
 
@@ -150,22 +164,15 @@ pub fn run_pipeline_des_with(
                 } else {
                     None
                 };
-                let weights = table.weight_flows(next_index);
-                let (done, bytes) = match kv {
-                    // No KV stream: the cached flow slice is used
-                    // as-is — no per-step allocation.
-                    None => (
-                        drain(&mut h2d, &mut audit, step_start, weights),
-                        weights.iter().map(|f| f.bytes).sum(),
-                    ),
-                    Some(f) => {
-                        kv_scratch.clear();
-                        kv_scratch.extend_from_slice(weights);
-                        kv_scratch.push(f);
-                        let bytes = kv_scratch.iter().map(|f| f.bytes).sum();
-                        (drain(&mut h2d, &mut audit, step_start, &kv_scratch), bytes)
-                    }
-                };
+                // The KV stream rides behind the layer's weight flows
+                // for this step only; once each layer's vector has
+                // grown to hold it, steps allocate nothing.
+                let flows = &mut weight_flows[next_index];
+                let weights = flows.len();
+                flows.extend(kv);
+                let done = drain(&mut h2d, &mut audit, step_start, flows);
+                let bytes = flows.iter().map(|f| f.bytes).sum();
+                flows.truncate(weights);
                 (done, Some(table.kind(next_index)), bytes)
             };
 
@@ -177,23 +184,18 @@ pub fn run_pipeline_des_with(
             // previous write-back is still draining.
             let mut d2h_bytes = ByteSize::ZERO;
             let mut stall_until = step_start;
-            if let Some(wb) = table.writeback(stage) {
+            let writeback = match stage {
+                Stage::Prefill => &writeback_flows[0],
+                Stage::Decode => &writeback_flows[1],
+            };
+            if let Some(wb) = writeback {
                 if table.kind(j) == LayerKind::Mha {
                     if let Some(prev) = writeback_done.take() {
                         stall_until = stall_until.max(prev);
                     }
                     let start = compute_done.max(stall_until);
-                    writeback_done = Some(drain(
-                        &mut d2h,
-                        &mut audit,
-                        start,
-                        &[Flow {
-                            bytes: wb.bytes,
-                            cap: wb.cap,
-                            fixed: wb.fixed,
-                            channel: "d2h:kv",
-                        }],
-                    ));
+                    writeback_done =
+                        Some(drain(&mut d2h, &mut audit, start, std::slice::from_ref(wb)));
                     d2h_bytes = wb.bytes;
                 }
             }
@@ -253,16 +255,16 @@ pub fn run_pipeline_des_with(
 /// share of its standalone transfer time, and the audit ledger
 /// channel its bytes are accounted on.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Flow {
-    pub(crate) bytes: ByteSize,
-    pub(crate) cap: Bandwidth,
-    pub(crate) fixed: SimDuration,
-    pub(crate) channel: &'static str,
+struct Flow {
+    bytes: ByteSize,
+    cap: Bandwidth,
+    fixed: SimDuration,
+    channel: &'static str,
 }
 
 /// The inbound KV stream of MHA layer `j` at `context`, `None` when
-/// nothing streams — the one per-step flow the cost table cannot
-/// cache (its size and bandwidth curve depend on the context).
+/// nothing streams — the one per-step flow that cannot be priced up
+/// front (its size and bandwidth curve depend on the context).
 fn kv_flow(
     inp: &PipelineInputs<'_>,
     table: &LayerCostTable,
@@ -285,65 +287,51 @@ fn kv_flow(
     }))
 }
 
-/// The host→GPU flows for one layer: per-tier weight portions, plus
-/// the layer's KV cache when offloaded (`kv_context`).
-pub(crate) fn host_flows(
+/// The host→GPU weight flows of one layer, one per tier holding any
+/// of its offloaded bytes.
+fn host_flows(
     inp: &PipelineInputs<'_>,
-    layer_index: usize,
+    lp: &LayerPlacement,
     cpu_ws: ByteSize,
     disk_ws: ByteSize,
-    kv_context: Option<usize>,
 ) -> Result<Vec<Flow>, HelmError> {
-    let lp = &inp.placement.layers()[layer_index];
-    let dtype = inp.placement.dtype();
-    let mut flows = Vec::with_capacity(3);
-    for (tier, bytes, ws) in [
-        (Tier::Cpu, lp.bytes_on(Tier::Cpu, dtype), cpu_ws),
-        (Tier::Disk, lp.bytes_on(Tier::Disk, dtype), disk_ws),
-    ] {
-        if bytes == ByteSize::ZERO {
-            continue;
-        }
-        let unavailable = HelmError::TierUnavailable {
-            tier: tier_name(tier),
-        };
-        let cap = inp
-            .system
-            .tier_bandwidth(tier, bytes, Some(ws))
-            .ok_or(unavailable.clone())?;
-        let full = inp
-            .system
-            .tier_transfer_time(tier, bytes, Some(ws))
-            .ok_or(unavailable)?;
-        flows.push(Flow {
-            bytes,
-            cap,
-            fixed: full - cap.time_for(bytes),
-            channel: match tier {
-                Tier::Cpu => "h2d:cpu",
-                Tier::Disk => "h2d:disk",
-                Tier::Gpu => "h2d:gpu",
-            },
-        });
-    }
-    if let Some(context) = kv_context {
-        let kv = lp
-            .layer()
-            .kv_read_bytes(inp.policy.effective_batch(), context);
-        if kv > ByteSize::ZERO {
-            let cap = inp
-                .system
-                .kv_stream_bandwidth(kv, Some(cpu_ws))
-                .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
-            flows.push(Flow {
-                bytes: kv,
+    tier_portions(lp, inp.placement.dtype(), cpu_ws, disk_ws)
+        .map(|(tier, bytes, ws)| {
+            let (cap, fixed) = stream_price(inp, tier, bytes, ws)?;
+            Ok(Flow {
+                bytes,
                 cap,
-                fixed: SimDuration::ZERO,
-                channel: "h2d:kv",
-            });
-        }
-    }
-    Ok(flows)
+                fixed,
+                channel: if tier == Tier::Disk {
+                    "h2d:disk"
+                } else {
+                    "h2d:cpu"
+                },
+            })
+        })
+        .collect()
+}
+
+/// The KV write-back flow one MHA step of `stage` issues, `None`
+/// without `kv_offload`.
+fn writeback_flow(
+    inp: &PipelineInputs<'_>,
+    table: &LayerCostTable,
+    stage: Stage,
+) -> Result<Option<Flow>, HelmError> {
+    let Some(wb) = table.writeback(stage) else {
+        return Ok(None);
+    };
+    let cap = inp
+        .system
+        .tier_writeback_bandwidth(Tier::Cpu, wb.bytes, Some(table.cpu_ws()))
+        .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
+    Ok(Some(Flow {
+        bytes: wb.bytes,
+        cap,
+        fixed: wb.time - cap.time_for(wb.bytes),
+        channel: "d2h:kv",
+    }))
 }
 
 #[cfg(test)]
@@ -436,5 +424,114 @@ mod tests {
         let (_, des) = both(HostMemoryConfig::nvdram(), PlacementKind::AllCpu, true, 8);
         let last_step_end: f64 = des.records.iter().map(|r| r.step.as_secs()).sum();
         assert!(des.total_time.as_secs() >= last_step_end - 1e-9);
+    }
+
+    /// `f64::to_bits` of total time, TTFT, then every TBT sample.
+    fn des_bits(
+        memory: HostMemoryConfig,
+        placement: PlacementKind,
+        compressed: bool,
+        kv_offload: bool,
+        batch: u32,
+    ) -> Vec<u64> {
+        let system = SystemConfig::paper_platform(memory.clone());
+        let model = ModelConfig::opt_175b();
+        let policy = Policy::paper_default(&model, memory.kind())
+            .with_placement(placement)
+            .with_compression(compressed)
+            .with_kv_offload(kv_offload)
+            .with_batch_size(batch);
+        let p = ModelPlacement::compute(&model, &policy);
+        let report = run_pipeline_des(&PipelineInputs {
+            system: &system,
+            model: &model,
+            policy: &policy,
+            placement: &p,
+            workload: &WorkloadSpec::paper_default(),
+        })
+        .expect("des runs");
+        let mut bits = vec![
+            report.total_time.as_secs().to_bits(),
+            report.ttft.as_secs().to_bits(),
+        ];
+        bits.extend(report.tbt.samples().iter().map(|s| s.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn des_output_is_pinned_bit_for_bit() {
+        // Exact values, so a refactor of how the executor prices its
+        // flows cannot drift by even one ulp. Split-tier: weights
+        // straddle SSD and DRAM, two capped flows share the link.
+        let split_tier: [u64; 22] = [
+            0x40a1eb4c9da1bbe7, // total 2293.65 s
+            0x405b77d8fd37947e, // TTFT 109.87 s
+            0x405b4e2a8ff7b1e0,
+            0x405b4e2a8ff7b176,
+            0x405b4e2a8ff7b134,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b138,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b130,
+            0x405b4e2a8ff7b140,
+            0x405b2492079dc0c0,
+        ];
+        assert_eq!(
+            des_bits(
+                HostMemoryConfig::ssd(),
+                PlacementKind::Baseline,
+                false,
+                false,
+                1
+            ),
+            split_tier
+        );
+        // KV offload: live KV streams join the weight flows and
+        // write-backs spill across steps.
+        let kv_offload: [u64; 22] = [
+            0x40613f1f44630cad, // total 137.97 s
+            0x401fe8bb79a38fe3, // TTFT 7.98 s
+            0x4019ffebf68240ed,
+            0x4019ffee9b67e708,
+            0x4019fff1404d8d24,
+            0x4019fff3e533333c,
+            0x4019fff68a18d950,
+            0x4019fff92efe7f70,
+            0x4019fffbd3e42588,
+            0x4019fffe78c9cba0,
+            0x401a00011daf6f70,
+            0x401a0003c29511c0,
+            0x401a0006677ab7e0,
+            0x401a00090c605e00,
+            0x401a000bb1460410,
+            0x401a000e562baa30,
+            0x401a0010fb115050,
+            0x401a00139ff6f660,
+            0x401a001644dc9c80,
+            0x401a0018e9c242a0,
+            0x401a001b8ea7ef20,
+            0x4019fae5a1ad7940,
+        ];
+        assert_eq!(
+            des_bits(
+                HostMemoryConfig::nvdram(),
+                PlacementKind::AllCpu,
+                true,
+                true,
+                8
+            ),
+            kv_offload
+        );
     }
 }

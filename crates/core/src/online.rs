@@ -591,36 +591,6 @@ pub enum StepGranularity {
     Coalesced,
 }
 
-impl StepGranularity {
-    /// Canonical CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StepGranularity::PerStep => "per-step",
-            StepGranularity::Coalesced => "coalesced",
-        }
-    }
-}
-
-impl std::fmt::Display for StepGranularity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for StepGranularity {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "per-step" | "step" => Ok(StepGranularity::PerStep),
-            "coalesced" | "macro" => Ok(StepGranularity::Coalesced),
-            other => Err(format!(
-                "unknown granularity '{other}' (expected per-step or coalesced)"
-            )),
-        }
-    }
-}
-
 /// Shape of a serving cluster: how many pipelines, how requests are
 /// dispatched to them, at what granularity batches admit work, which
 /// arrivals are admitted at all, and what deadlines requests carry.
@@ -2972,24 +2942,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn granularity_parse_round_trips() {
-        for g in [StepGranularity::PerStep, StepGranularity::Coalesced] {
-            assert_eq!(g.as_str().parse::<StepGranularity>().unwrap(), g);
-            assert_eq!(g.to_string(), g.as_str());
-        }
-        assert_eq!(
-            "macro".parse::<StepGranularity>().unwrap(),
-            StepGranularity::Coalesced
-        );
-        assert_eq!(
-            "step".parse::<StepGranularity>().unwrap(),
-            StepGranularity::PerStep
-        );
-        assert!("fine".parse::<StepGranularity>().is_err());
-        assert_eq!(StepGranularity::default(), StepGranularity::Coalesced);
     }
 
     #[test]

@@ -16,21 +16,21 @@
 //!    counts, then scheduler, then admission — all indices into the
 //!    caller's `PlanSpace`, so the schedule is a pure function of the
 //!    lattice);
-//! 3. candidates are probed with short capped-request DES runs in
-//!    fixed-size chunks, reduced in schedule order; the first probe
-//!    that clears the target is re-run at full length, and a
-//!    confirmed run ends the search. A probe-feasible candidate that
-//!    *fails* confirmation is skipped deterministically and the scan
-//!    continues.
+//! 3. candidates are probed one at a time, in schedule order, with
+//!    short capped-request DES runs; `max_evals` is checked before
+//!    each probe. The first probe that clears the target is re-run at
+//!    full length, and a confirmed run ends the search, so no
+//!    candidate after it is ever probed. A probe-feasible candidate
+//!    that *fails* confirmation is skipped deterministically and the
+//!    scan continues.
 //!
 //! # Determinism
 //!
 //! The report is a pure function of the lattice and the traffic: the
-//! schedule and its chunk boundaries are fixed before evaluation
-//! begins, each probe is a pure function of its candidate (every
-//! probe replays the identical arrival prefix from the traffic seed
-//! on models calibrated once, before the first probe), and the
-//! reduction over each chunk's outcomes runs in schedule order.
+//! schedule is fixed before evaluation begins, and each probe is a
+//! pure function of its candidate (every probe replays the identical
+//! arrival prefix from the traffic seed on models calibrated once,
+//! before the first probe).
 //!
 //! # Fallback
 //!
@@ -53,10 +53,6 @@ use crate::error::HelmError;
 use crate::online::{CalibrationCache, ClusterReport, ServiceModel};
 use crate::server::Server;
 use workload::WorkloadSpec;
-
-/// Candidates per probe chunk: each chunk is probed in full before
-/// its outcomes are reduced, and `max_evals` truncates a chunk.
-const CHUNK: usize = 8;
 
 /// Every replica-count vector of length `templates` summing to
 /// `total`, in lexicographic order — the deterministic mix
@@ -231,48 +227,32 @@ impl<'a> PlanEngine<'a> {
                     .then_with(|| a.scheduler.cmp(&b.scheduler))
                     .then_with(|| a.admission.cmp(&b.admission))
             });
-            let mut cursor = 0usize;
-            while cursor < ranked.len() {
-                let cap = if self.budget.max_evals > 0 {
-                    self.budget.max_evals.saturating_sub(stats.evaluated)
-                } else {
-                    usize::MAX
-                };
-                if cap == 0 {
+            for ranked_candidate in &ranked {
+                if self.budget.max_evals > 0 && stats.evaluated >= self.budget.max_evals {
                     break 'levels;
                 }
-                let take = CHUNK.min(cap).min(ranked.len() - cursor);
-                let chunk = &ranked[cursor..cursor + take];
-                cursor += take;
-                let probes: Vec<Result<ClusterReport, HelmError>> = chunk
-                    .iter()
-                    .map(|r| self.simulate(&models, r, probe_requests))
-                    .collect();
-                for (ranked_candidate, probe) in chunk.iter().zip(probes) {
-                    let report = probe?;
-                    stats.evaluated += 1;
-                    let attainment = report.slo_attainment();
-                    if best_probe.as_ref().is_none_or(|(_, b)| attainment > *b) {
-                        best_probe = Some((self.candidate(ranked_candidate), attainment));
+                let report = self.simulate(&models, ranked_candidate, probe_requests)?;
+                stats.evaluated += 1;
+                let attainment = report.slo_attainment();
+                if best_probe.as_ref().is_none_or(|(_, b)| attainment > *b) {
+                    best_probe = Some((self.candidate(ranked_candidate), attainment));
+                }
+                if attainment >= self.target.attainment {
+                    confirmations += 1;
+                    // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
+                    let confirm_started = Instant::now();
+                    let confirmed =
+                        self.simulate(&models, ranked_candidate, self.traffic.num_requests)?;
+                    confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
+                    if confirmed.slo_attainment() >= self.target.attainment {
+                        outcome = Some((self.candidate(ranked_candidate), attainment, confirmed));
+                        break 'levels;
                     }
-                    if attainment >= self.target.attainment {
-                        confirmations += 1;
-                        // lint: allow(wall-clock-in-sim): feeds PlanReport.confirm_wall_ms run metadata only
-                        let confirm_started = Instant::now();
-                        let confirmed =
-                            self.simulate(&models, ranked_candidate, self.traffic.num_requests)?;
-                        confirm_wall_ms += confirm_started.elapsed().as_secs_f64() * 1000.0;
-                        if confirmed.slo_attainment() >= self.target.attainment {
-                            outcome =
-                                Some((self.candidate(ranked_candidate), attainment, confirmed));
-                            break 'levels;
-                        }
-                        // Probe-feasible but not confirmed: the short
-                        // prefix was too optimistic. Skip it and keep
-                        // scanning — deterministically, since the
-                        // schedule and this rejection are both pure
-                        // in the lattice.
-                    }
+                    // Probe-feasible but not confirmed: the short
+                    // prefix was too optimistic. Skip it and keep
+                    // scanning — deterministically, since the
+                    // schedule and this rejection are both pure in
+                    // the lattice.
                 }
             }
         }

@@ -13,6 +13,7 @@ use crate::trace::Trace;
 use gpusim::{MemoryBudget, ResidentCosts};
 use llm::ModelConfig;
 use simcore::units::ByteSize;
+use std::borrow::Cow;
 use workload::WorkloadSpec;
 
 /// An out-of-core LLM inference server over heterogeneous memory.
@@ -130,14 +131,57 @@ impl Server {
     /// would not fit alongside it (the paper's Table IV batch-8 HeLM
     /// regime); every other policy serves its nominal placement.
     pub fn effective_placement(&self, workload: &WorkloadSpec) -> ModelPlacement {
+        self.effective(workload).into_owned()
+    }
+
+    /// [`Server::effective_placement`], borrowing the nominal
+    /// placement instead of copying it when no fallback applies.
+    fn effective(&self, workload: &WorkloadSpec) -> Cow<'_, ModelPlacement> {
         if self.policy.placement() == crate::placement::PlacementKind::Helm {
             let costs = self.costs_of(&self.placement, workload);
             let budget = MemoryBudget::for_gpu(self.system.gpu());
             if !budget.fits(&costs, self.policy.effective_batch()) {
-                return ModelPlacement::compute_helm_demoted(&self.model, &self.policy);
+                return Cow::Owned(ModelPlacement::compute_helm_demoted(
+                    &self.model,
+                    &self.policy,
+                ));
             }
         }
-        self.placement.clone()
+        Cow::Borrowed(&self.placement)
+    }
+
+    /// The effective placement for `workload` once the policy's batch
+    /// is checked against the GPU memory it leaves — the one batch
+    /// check every validated run goes through.
+    fn checked_placement(
+        &self,
+        workload: &WorkloadSpec,
+    ) -> Result<Cow<'_, ModelPlacement>, HelmError> {
+        let placement = self.effective(workload);
+        let max_batch = MemoryBudget::for_gpu(self.system.gpu())
+            .max_batch(&self.costs_of(&placement, workload));
+        let requested = self.policy.effective_batch();
+        if requested > max_batch {
+            return Err(HelmError::BatchTooLarge {
+                requested,
+                max_batch,
+            });
+        }
+        Ok(placement)
+    }
+
+    fn inputs<'a>(
+        &'a self,
+        placement: &'a ModelPlacement,
+        workload: &'a WorkloadSpec,
+    ) -> PipelineInputs<'a> {
+        PipelineInputs {
+            system: &self.system,
+            model: &self.model,
+            policy: &self.policy,
+            placement,
+            workload,
+        }
     }
 
     fn costs_of(&self, placement: &ModelPlacement, workload: &WorkloadSpec) -> ResidentCosts {
@@ -202,7 +246,7 @@ impl Server {
     /// GPU-resident cost breakdown for `workload`, using the
     /// effective (fallback-aware) placement.
     pub fn resident_costs(&self, workload: &WorkloadSpec) -> ResidentCosts {
-        self.costs_of(&self.effective_placement(workload), workload)
+        self.costs_of(&self.effective(workload), workload)
     }
 
     /// The largest batch that fits GPU memory for `workload` — the
@@ -243,43 +287,15 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_traced(&self, workload: &WorkloadSpec) -> Result<(RunReport, Trace), HelmError> {
-        let max = self.max_batch(workload);
-        if self.policy.effective_batch() > max {
-            return Err(HelmError::BatchTooLarge {
-                requested: self.policy.effective_batch(),
-                max_batch: max,
-            });
-        }
-        let placement = self.effective_placement(workload);
-        let inputs = PipelineInputs {
-            system: &self.system,
-            model: &self.model,
-            policy: &self.policy,
-            placement: &placement,
-            workload,
-        };
-        let table = LayerCostTable::build(&inputs)?;
-        run_pipeline_traced(&inputs, &table, RecordMode::Full)
+        let placement = self.checked_placement(workload)?;
+        let inputs = self.inputs(&placement, workload);
+        run_pipeline_traced(&inputs, &LayerCostTable::build(&inputs)?, RecordMode::Full)
     }
 
     fn run_mode(&self, workload: &WorkloadSpec, mode: RecordMode) -> Result<RunReport, HelmError> {
-        let max = self.max_batch(workload);
-        if self.policy.effective_batch() > max {
-            return Err(HelmError::BatchTooLarge {
-                requested: self.policy.effective_batch(),
-                max_batch: max,
-            });
-        }
-        let placement = self.effective_placement(workload);
-        let inputs = PipelineInputs {
-            system: &self.system,
-            model: &self.model,
-            policy: &self.policy,
-            placement: &placement,
-            workload,
-        };
-        let table = LayerCostTable::build(&inputs)?;
-        run_pipeline_with(&inputs, &table, mode)
+        let placement = self.checked_placement(workload)?;
+        let inputs = self.inputs(&placement, workload);
+        run_pipeline_with(&inputs, &LayerCostTable::build(&inputs)?, mode)
     }
 
     /// Runs the serving pipeline on the discrete-event executor
@@ -292,21 +308,8 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_des(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        let max = self.max_batch(workload);
-        if self.policy.effective_batch() > max {
-            return Err(HelmError::BatchTooLarge {
-                requested: self.policy.effective_batch(),
-                max_batch: max,
-            });
-        }
-        let placement = self.effective_placement(workload);
-        crate::exec_des::run_pipeline_des(&PipelineInputs {
-            system: &self.system,
-            model: &self.model,
-            policy: &self.policy,
-            placement: &placement,
-            workload,
-        })
+        let placement = self.checked_placement(workload)?;
+        crate::exec_des::run_pipeline_des(&self.inputs(&placement, workload))
     }
 
     /// Runs the pipeline without the GPU-memory batch check (the
@@ -320,14 +323,7 @@ impl Server {
     /// [`HelmError::TierUnavailable`] when the placement routes
     /// traffic through a tier the platform does not provide.
     pub fn run_unchecked(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        let placement = self.effective_placement(workload);
-        run_pipeline(&PipelineInputs {
-            system: &self.system,
-            model: &self.model,
-            policy: &self.policy,
-            placement: &placement,
-            workload,
-        })
+        run_pipeline(&self.inputs(&self.effective(workload), workload))
     }
 
     /// Searches per-kind GPU shares for the best placement under this

@@ -1,8 +1,9 @@
 //! Properties of the capacity planner: soundness of the analytical
 //! attainment bound (bound-feasible ⊇ DES-feasible over random
 //! traffic, mixes, schedulers, and admission policies), determinism
-//! of the search whatever `SearchBudget::threads` says, and
-//! minimum-resource correctness of the chosen configuration.
+//! of the search whatever `SearchBudget::threads` says, the
+//! `max_evals` probe budget, and minimum-resource correctness of the
+//! chosen configuration.
 
 use helm_core::exec::RecordMode;
 use helm_core::online::{
@@ -321,4 +322,74 @@ fn plan_survives_unreachable_targets() {
     );
     assert_eq!(report.confirmations, 1);
     assert!(!report.chosen.counts.is_empty());
+}
+
+/// `SearchBudget::max_evals` caps the probes: a budget below what the
+/// unbudgeted search needs stops the scan after exactly that many
+/// probes (9 crosses any fixed batch of 8), and the best-effort
+/// report it returns is honest about its confirmation run and
+/// reproducible.
+#[test]
+fn plan_respects_the_probe_budget() {
+    let workload = WorkloadSpec::new(32, 3, 1);
+    let base = server(PlacementKind::Baseline, 1);
+    let space = PlanSpace {
+        templates: TEMPLATES
+            .iter()
+            .map(|&(p, b)| GroupTemplate::new(p, b))
+            .collect(),
+        max_replicas: 3,
+        schedulers: vec![
+            SchedulerKind::JoinShortestQueue,
+            SchedulerKind::LeastFinishTime,
+            SchedulerKind::DeadlineAware,
+        ],
+        admissions: vec![
+            AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::DeadlineFeasible,
+        ],
+        continuous: false,
+        probe_requests: 8,
+    };
+    let traffic = TrafficSpec::new(30.0, 24, 5)
+        .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_millis(800.0)));
+    let target = PlanTarget::attainment(0.95);
+    let run = |max_evals| {
+        let budget = SearchBudget {
+            threads: 1,
+            max_evals,
+        };
+        plan(&base, &workload, &traffic, target, &space, budget).unwrap()
+    };
+    let unbudgeted = run(0);
+    assert!(
+        unbudgeted.stats.evaluated > 9,
+        "the scenario must need more probes than every budget below allows, got {}",
+        unbudgeted.stats.evaluated
+    );
+    for max_evals in [1usize, 3, 9] {
+        let report = run(max_evals);
+        assert!(
+            report.stats.evaluated <= max_evals,
+            "budget {max_evals}: {} probes",
+            report.stats.evaluated
+        );
+        assert_eq!(report.stats.evaluated, max_evals, "budget {max_evals}");
+        assert!(report.confirmations >= 1, "budget {max_evals}");
+        assert_eq!(
+            report.attainment.to_bits(),
+            report.confirmed.slo_attainment().to_bits(),
+            "budget {max_evals}: reported attainment is not the confirmation run's"
+        );
+        assert_eq!(
+            report.feasible,
+            report.attainment >= target.attainment,
+            "budget {max_evals}: feasible flag disagrees with the confirmed attainment"
+        );
+        assert_eq!(
+            fingerprint(&run(max_evals)),
+            fingerprint(&report),
+            "budget {max_evals}: rerun diverged"
+        );
+    }
 }
