@@ -2,26 +2,31 @@
 //! DES core across request volumes n ∈ {1e4, 1e5, 1e6}.
 //!
 //! The north star is "millions of users": this bench proves the
-//! event loop itself — calendar-queue scheduling, pooled event and
-//! request state, the lazy arrival chain, and the allocation-free
+//! event loop itself — the one binary-heap event queue, pooled event
+//! and request state, the lazy arrival chain, and the allocation-free
 //! `RecordMode::Aggregate` cluster path — sustains a million-request
 //! mixed-cluster run in seconds, with the conservation audit forced
 //! on so every enqueue/complete/abandon count stays exact at scale.
 //!
-//! Three hard gates (the run errors, not warns):
+//! Hard gates (the run errors, not warns):
 //!
-//! * the calendar queue's `ClusterReport` must match the binary-heap
-//!   scheduler's byte for byte at n = 1e4 (same `(time, seq)` total
-//!   order, so even float aggregates may not drift);
-//! * the largest run must clear [`EVENTS_PER_S_FLOOR`] and finish
-//!   with a clean audit ledger;
+//! * the throughput tiers and the coalesced runs must keep a clean
+//!   audit ledger, and the largest tier must clear
+//!   [`EVENTS_PER_S_FLOOR`];
 //! * on the granularity axis (continuous batching, per-step vs
 //!   coalesced decode spans), the reports must stay byte-identical at
 //!   every volume and coalescing must clear
-//!   [`GRANULARITY_SPEEDUP_FLOOR`] at the largest.
+//!   [`GRANULARITY_SPEEDUP_FLOOR`] at the largest;
+//! * on the tracing axis, the traced report must match the untraced
+//!   one byte for byte and its span trees must validate.
 //!
-//! Results land in `output/BENCH_des.json`. `--quick` drops the 1e6
-//! tier for CI smoke runs (the floors still apply at 1e5).
+//! A broken ledger or report stops the run at once. The two
+//! wall-time floors are checked last, after every axis has run and
+//! both JSON files are written, so missing one hides no other result.
+//!
+//! Results land in `output/BENCH_des.json` and
+//! `output/BENCH_trace.json`. `--quick` drops the 1e6 tier for CI
+//! smoke runs (the floors still apply at 1e5).
 
 use std::time::Instant;
 
@@ -38,22 +43,23 @@ use helm_core::system::SystemConfig;
 use helm_core::trace::validate_chrome_trace;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
-use simcore::queue::QueueBackend;
 use workload::WorkloadSpec;
 
 /// Hard floor on sustained events/s at the largest request volume.
-/// The calendar-queue core measures well above 1M events/s on a
-/// single CI core; a drop below this line means the event loop
-/// regressed structurally (per-event allocation, queue degeneration),
-/// not that the machine was slow.
+/// The event loop measures well above 1M events/s on a single CI
+/// core; a drop below this line means it regressed structurally
+/// (per-event allocation, queue degeneration), not that the machine
+/// was slow.
 const EVENTS_PER_S_FLOOR: f64 = 100_000.0;
 
 /// Hard floor on `per-step / coalesced` wall time at the largest
 /// granularity-axis volume, measured on the continuous-batching mix
-/// where decode spans dominate the event count. Coalescing replaces
-/// every per-step priority-queue round-trip with tight-loop
-/// arithmetic; losing this floor means the macro-stepping layer
-/// stopped paying for itself.
+/// where decode spans dominate the event count. The per-step
+/// reference pays one binary-heap round-trip and one boxed completion
+/// closure per step; coalescing replays the same steps in a tight
+/// loop. So the ratio falls when that reference gets cheaper, not
+/// only when the coalesced engine gets slower: compare both wall
+/// times before reading a miss as a coalescing regression.
 const GRANULARITY_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Offered arrival rate (requests/s of simulated time). High enough
@@ -72,7 +78,6 @@ fn run_tier(
     groups: &[(&Server, usize)],
     workload: &WorkloadSpec,
     num_requests: usize,
-    backend: QueueBackend,
     record: RecordMode,
     granularity: StepGranularity,
     continuous: bool,
@@ -80,7 +85,6 @@ fn run_tier(
     let spec = ClusterSpec::new(1)
         .with_scheduler(helm_core::online::SchedulerKind::JoinShortestQueue)
         .with_record(record)
-        .with_backend(backend)
         .with_granularity(granularity)
         .with_continuous(continuous);
     let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, 4242);
@@ -132,43 +136,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_batch_size(44),
     )?;
     let groups: &[(&Server, usize)] = &[(&helm, 2), (&allcpu, 2)];
+    // Wall-time floor misses, reported after every axis has run.
+    let mut floor_misses: Vec<String> = Vec::new();
 
-    section("backend equivalence: calendar vs heap at n = 1e4");
-    for record in [RecordMode::Full, RecordMode::Aggregate] {
-        let cal = run_tier(
-            groups,
-            &workload,
-            10_000,
-            QueueBackend::Calendar,
-            record,
-            StepGranularity::default(),
-            false,
-        )?;
-        let heap = run_tier(
-            groups,
-            &workload,
-            10_000,
-            QueueBackend::Heap,
-            record,
-            StepGranularity::default(),
-            false,
-        )?;
-        // Debug formatting prints every field including float bit
-        // patterns via their shortest round-trip form; equality here
-        // is byte-identity of the full report.
-        if format!("{:?}", cal.report) != format!("{:?}", heap.report) {
-            return Err(format!(
-                "calendar and heap schedulers diverged at n=1e4 ({record:?} mode)"
-            )
-            .into());
-        }
-        println!(
-            "{record:?}: identical reports ({} events, {} served)",
-            cal.report.events, cal.report.served
-        );
-    }
-
-    section("throughput: aggregate-mode mixed cluster, calendar queue");
+    section("throughput: aggregate-mode mixed cluster");
     let volumes: &[usize] = if quick {
         &[10_000, 100_000]
     } else {
@@ -180,7 +151,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             groups,
             &workload,
             n,
-            QueueBackend::Calendar,
             RecordMode::Aggregate,
             StepGranularity::default(),
             false,
@@ -228,12 +198,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let largest = tiers.last().ok_or("no tier ran")?;
     let events_per_s = largest.report.events as f64 / largest.wall_s;
     if events_per_s < EVENTS_PER_S_FLOOR {
-        return Err(format!(
+        floor_misses.push(format!(
             "event loop regressed: {events_per_s:.0} events/s at n={} is below the \
              {EVENTS_PER_S_FLOOR:.0} floor",
             largest.num_requests
-        )
-        .into());
+        ));
     }
 
     section("granularity axis: per-step vs coalesced, continuous batching");
@@ -250,13 +219,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gran_groups: &[(&Server, usize)] = &[(&helm_b1, 4)];
     let mut gran_rows = Vec::new();
     let mut gran_json = Vec::new();
-    let mut gran_speedup = 0.0f64;
+    let mut gran_largest = (0, 0.0f64, 0.0f64);
     for &n in volumes {
         let step = run_tier(
             gran_groups,
             &workload,
             n,
-            QueueBackend::Calendar,
             RecordMode::Aggregate,
             StepGranularity::PerStep,
             true,
@@ -265,7 +233,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             gran_groups,
             &workload,
             n,
-            QueueBackend::Calendar,
             RecordMode::Aggregate,
             StepGranularity::Coalesced,
             true,
@@ -281,7 +248,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !audit.is_clean() {
             return Err(format!("coalesced audit ledger dirty at n={n}: {audit}").into());
         }
-        gran_speedup = step.wall_s / coal.wall_s;
+        let gran_speedup = step.wall_s / coal.wall_s;
+        gran_largest = (n, step.wall_s, coal.wall_s);
         gran_rows.push((
             format!("n = {n}"),
             vec![
@@ -315,12 +283,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
         &gran_rows,
     );
-    if gran_speedup < GRANULARITY_SPEEDUP_FLOOR {
-        return Err(format!(
-            "coalescing regressed: {gran_speedup:.2}x over per-step at the largest volume \
-             is below the {GRANULARITY_SPEEDUP_FLOOR}x floor"
-        )
-        .into());
+    let (gran_n, step_s, coal_s) = gran_largest;
+    if step_s / coal_s < GRANULARITY_SPEEDUP_FLOOR {
+        floor_misses.push(format!(
+            "coalescing speedup over the per-step reference (binary-heap queue) is {:.2}x \
+             at n={gran_n}, below the {GRANULARITY_SPEEDUP_FLOOR}x floor: per-step {:.1} ms, \
+             coalesced {:.1} ms",
+            step_s / coal_s,
+            step_s * 1000.0,
+            coal_s * 1000.0,
+        ));
     }
 
     section("tracing axis: span collection on vs off at n = 1e4");
@@ -336,15 +308,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         groups,
         &workload,
         trace_n,
-        QueueBackend::Calendar,
         RecordMode::Aggregate,
         StepGranularity::default(),
         false,
     )?;
     let spec = ClusterSpec::new(1)
         .with_scheduler(helm_core::online::SchedulerKind::JoinShortestQueue)
-        .with_record(RecordMode::Aggregate)
-        .with_backend(QueueBackend::Calendar);
+        .with_record(RecordMode::Aggregate);
     let mut arrivals = PoissonArrivals::new(ARRIVAL_RATE, 4242);
     let traced_started = Instant::now();
     let (traced_report, trace) = run_cluster_mix_traced(
@@ -427,9 +397,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let json = format!(
-        "{{\n  \"model\": \"{}\",\n  \"memory\": \"{}\",\n  \"backend\": \"calendar\",\n  \
+        "{{\n  \"model\": \"{}\",\n  \"memory\": \"{}\",\n  \
          \"record_mode\": \"aggregate\",\n  \"arrival_rate_per_s\": {ARRIVAL_RATE},\n  \
-         \"backend_equivalence_n\": 10000,\n  \"backend_equivalence\": true,\n  \
          \"events_per_s_floor\": {EVENTS_PER_S_FLOOR},\n  \"tiers\": [\n{}\n  ],\n  \
          \"granularity_speedup_floor\": {GRANULARITY_SPEEDUP_FLOOR},\n  \
          \"granularity\": [\n{}\n  ]\n}}\n",
@@ -443,16 +412,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nwrote output/BENCH_des.json");
 
     println!(
-        "\nReading: the calendar queue pops in the same (time, seq) total order\n\
-         as the heap (byte-identical reports above), so the only thing that\n\
-         changes with n is wall time. Events/s holding roughly flat from 1e4\n\
-         to 1e6 is the point: amortized O(1) scheduling plus pooled per-event\n\
-         state means a million-request mixed-cluster run costs seconds, which\n\
-         is what makes full lambda-sweeps of the paper's overlap results\n\
-         testable at datacenter scale. The granularity axis shows the same\n\
-         lever one level up: coalescing decode spans between scheduler\n\
-         epochs removes the per-token queue round-trip entirely, with the\n\
-         byte-identity gate proving the reports never notice."
+        "\nReading: events/s holding roughly flat from 1e4 to 1e6 is the\n\
+         point. Arrivals are drawn lazily and coalesced completions are\n\
+         replayed outside the queue, so the binary heap never holds more\n\
+         than a handful of events and each push/pop costs O(1) in practice;\n\
+         with pooled per-event state, a million-request mixed-cluster run\n\
+         costs seconds, which is what makes full lambda-sweeps of the\n\
+         paper's overlap results testable at datacenter scale. The\n\
+         granularity axis shows the lever behind that: coalescing decode\n\
+         spans between scheduler epochs removes the per-token queue\n\
+         round-trip entirely, with the byte-identity gate proving the\n\
+         reports never notice."
     );
-    Ok(())
+    if floor_misses.is_empty() {
+        Ok(())
+    } else {
+        Err(floor_misses.join("; ").into())
+    }
 }

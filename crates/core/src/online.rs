@@ -54,7 +54,6 @@ use simcore::rng::SimRng;
 use simcore::stats::{Accumulator, Reservoir, SeriesStats};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{time_ticks, TraceSpan};
-use simcore::QueueBackend;
 use std::collections::VecDeque;
 use workload::WorkloadSpec;
 
@@ -593,7 +592,10 @@ pub enum StepGranularity {
 
 /// Shape of a serving cluster: how many pipelines, how requests are
 /// dispatched to them, at what granularity batches admit work, which
-/// arrivals are admitted at all, and what deadlines requests carry.
+/// arrivals are admitted at all, what deadlines requests carry, how
+/// much of each run is recorded, and how batch/step completions are
+/// stepped. Every run schedules through `simcore`'s one `(time, seq)`
+/// event queue.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterSpec {
     /// Number of independent pipeline replicas ([`run_cluster`] only;
@@ -614,10 +616,6 @@ pub struct ClusterSpec {
     /// streaming summaries plus a bounded latency reservoir, so
     /// million-request runs stay allocation-bounded.
     pub record: RecordMode,
-    /// Event-scheduler backend of the underlying simulator. The
-    /// backends share one `(time, seq)` total order, so reports are
-    /// bit-identical either way; only speed differs.
-    pub backend: QueueBackend,
     /// Event granularity: coalesced macro-stepping (default) or one
     /// queue event per batch/step completion. Reports are
     /// byte-identical either way; only speed differs.
@@ -640,7 +638,6 @@ impl ClusterSpec {
             admission: AdmissionPolicy::AcceptAll,
             deadlines: DeadlineSpec::None,
             record: RecordMode::Full,
-            backend: QueueBackend::default(),
             granularity: StepGranularity::default(),
         }
     }
@@ -677,13 +674,6 @@ impl ClusterSpec {
     #[must_use]
     pub fn with_record(mut self, record: RecordMode) -> Self {
         self.record = record;
-        self
-    }
-
-    /// Replaces the event-scheduler backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: QueueBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -852,7 +842,7 @@ pub struct ClusterReport {
     /// Aggregate critical-path attribution over all served requests:
     /// queue-bound vs compute-bound vs transfer-bound ticks, exact
     /// (`sum(buckets) == total` as a `u64` equality). Identical
-    /// across granularities and backends, traced or not.
+    /// across granularities, traced or not.
     pub attribution: Attribution,
     /// Conservation audit, when auditing is enabled (debug builds or
     /// [`simaudit::force_enable`]).
@@ -1881,37 +1871,34 @@ pub(crate) fn run_models(
             LatencyStats::sampled(SimRng::from_seed_and_stream(0, "cluster-e2e")),
         ),
     };
-    let mut sim = Simulator::with_backend(
-        ClusterSt {
-            pipes,
-            models,
-            continuous: spec.continuous,
-            scheduler: spec.scheduler,
-            admission: spec.admission,
-            record: spec.record,
-            granularity: spec.granularity,
-            queue_delay,
-            e2e,
-            batch_sizes: Vec::new(),
-            last_completion: SimTime::ZERO,
-            slo_violations: 0,
-            met: 0,
-            attribution: Attribution::default(),
-            trace: trace_out.is_some().then(Trace::default),
-            audit: Auditor::capture(),
-            arrivals: arrivals.clone(),
-            deadliner: DeadlineAssigner::new(spec.deadlines),
-            remaining: num_requests,
-            member_pool: Vec::new(),
-            channels: (0..n).map(req_channel).collect(),
-            next_vseq: 0,
-            events: 0,
-            arrival_pending: None,
-            arrival_span: None,
-            drain_span: None,
-        },
-        spec.backend,
-    );
+    let mut sim = Simulator::new(ClusterSt {
+        pipes,
+        models,
+        continuous: spec.continuous,
+        scheduler: spec.scheduler,
+        admission: spec.admission,
+        record: spec.record,
+        granularity: spec.granularity,
+        queue_delay,
+        e2e,
+        batch_sizes: Vec::new(),
+        last_completion: SimTime::ZERO,
+        slo_violations: 0,
+        met: 0,
+        attribution: Attribution::default(),
+        trace: trace_out.is_some().then(Trace::default),
+        audit: Auditor::capture(),
+        arrivals: arrivals.clone(),
+        deadliner: DeadlineAssigner::new(spec.deadlines),
+        remaining: num_requests,
+        member_pool: Vec::new(),
+        channels: (0..n).map(req_channel).collect(),
+        next_vseq: 0,
+        events: 0,
+        arrival_pending: None,
+        arrival_span: None,
+        drain_span: None,
+    });
     // Both granularities route arrivals through one registered span
     // (no per-arrival closure allocation); coalesced mode adds the
     // terminal drain span that flushes in-flight work after the last
@@ -2873,32 +2860,6 @@ mod tests {
             agg.e2e_latency.percentile(95.0).unwrap().to_bits(),
             full.e2e_latency.percentile(95.0).unwrap().to_bits()
         );
-    }
-
-    #[test]
-    fn scheduler_backends_agree_on_cluster_reports() {
-        // Calendar queue vs binary heap: one (time, seq) total order,
-        // so the whole report — floats included — must match byte for
-        // byte in both recording modes.
-        let s = server(PlacementKind::AllCpu, 8);
-        let ws = WorkloadSpec::paper_default();
-        for record in [RecordMode::Full, RecordMode::Aggregate] {
-            let spec = ClusterSpec::new(2)
-                .with_scheduler(SchedulerKind::JoinShortestQueue)
-                .with_continuous(true)
-                .with_record(record);
-            let cal = run_cluster(&s, &ws, &mut PoissonArrivals::new(0.1, 71), 60, spec).unwrap();
-            let heap = run_cluster(
-                &s,
-                &ws,
-                &mut PoissonArrivals::new(0.1, 71),
-                60,
-                spec.with_backend(QueueBackend::Heap),
-            )
-            .unwrap();
-            assert_eq!(cal.events, heap.events, "{record:?}");
-            assert_eq!(format!("{cal:?}"), format!("{heap:?}"), "{record:?}");
-        }
     }
 
     #[test]

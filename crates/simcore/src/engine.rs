@@ -1,8 +1,10 @@
 //! Closure-driven discrete-event executor.
 //!
 //! [`Simulator`] owns a user state `S` and an [`EventQueue`] of
-//! entries. Each entry is either a boxed one-shot closure or a *span*
-//! — a reusable `FnMut` handler registered up front with
+//! entries: the workspace's one event queue, a binary heap that pops
+//! in `(time, seq)` order. [`Simulator::new`] is its only
+//! constructor. Each entry is either a boxed one-shot closure or a
+//! *span* — a reusable `FnMut` handler registered up front with
 //! [`Simulator::register_span`] and re-armed by id, so recurring
 //! activities (arrival processes, coalesced macro-steps) cost zero
 //! allocations per firing. Handlers receive a [`Context`] (through
@@ -16,7 +18,7 @@
 //! panicking: the run stops at the faulting event and
 //! [`Simulator::run_checked`] surfaces the error.
 
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
@@ -47,7 +49,7 @@ pub enum SimError {
         now: SimTime,
     },
     /// The event queue handed back an event timestamped before the
-    /// clock — a broken queue-backend invariant.
+    /// clock — a broken queue-order invariant.
     ClockWentBackwards {
         /// The popped event's timestamp.
         at: SimTime,
@@ -231,30 +233,18 @@ impl<S: fmt::Debug> fmt::Debug for Simulator<S> {
 }
 
 impl<S> Simulator<S> {
-    /// Creates a simulator owning `state`, with the clock at zero, on
-    /// the default (calendar-queue) scheduler.
+    /// Creates a simulator owning `state`, with the clock at zero and
+    /// no events pending.
     pub fn new(state: S) -> Self {
-        Self::with_backend(state, QueueBackend::default())
-    }
-
-    /// Creates a simulator on an explicit scheduler backend. The
-    /// backends share one `(time, seq)` total order, so results are
-    /// bit-identical either way; the choice only affects speed.
-    pub fn with_backend(state: S, backend: QueueBackend) -> Self {
         Simulator {
             state,
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             spans: Vec::new(),
             now: SimTime::ZERO,
             fired: 0,
             fault: None,
             spare: Vec::new(),
         }
-    }
-
-    /// The scheduler backend this simulator runs on.
-    pub fn backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Current simulated time.
@@ -359,8 +349,8 @@ impl<S> Simulator<S> {
             return;
         }
         while let Some((time, entry)) = self.queue.pop_before(horizon) {
-            // Monotonicity is a structural invariant of the queue
-            // backends; a violation is a fault, not a panic.
+            // Monotonicity is a structural invariant of the queue;
+            // a violation is a fault, not a panic.
             if time < self.now {
                 self.fault = Some(SimError::ClockWentBackwards {
                     at: time,

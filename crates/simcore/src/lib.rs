@@ -6,8 +6,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — simulated wall-clock time with
 //!   total ordering and convenient unit constructors.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped
-//!   events (FIFO among equal timestamps).
+//! * [`EventQueue`] — a deterministic binary-heap priority queue of
+//!   timestamped events (FIFO among equal timestamps).
 //! * [`Simulator`] — a closure-driven discrete-event executor.
 //! * [`FlowScheduler`] — an analytic processor-sharing model of a
 //!   bandwidth-limited resource (a PCIe link, a memory channel) serving
@@ -42,7 +42,7 @@ pub mod units;
 
 pub use engine::{SimError, Simulator, SpanId};
 pub use flow::{FlowId, FlowScheduler};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use stats::{Accumulator, Reservoir, SeriesStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{NestingError, TraceSpan};

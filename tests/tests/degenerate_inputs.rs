@@ -6,11 +6,13 @@
 //! Each test here is a regression pin for one edge that used to (or
 //! plausibly could) assert or divide by zero: an empty cluster mix, a
 //! plan space with nothing to search, a zero-request probe, a
-//! zero-request serve, and a zero-capacity latency reservoir.
+//! zero-request serve, arrival rates at the ends of the `f64` range,
+//! and a zero-capacity latency reservoir.
 
 use helm_core::error::HelmError;
 use helm_core::online::{
-    run_cluster, run_cluster_mix, ClusterSpec, PoissonArrivals, StepGranularity,
+    run_cluster, run_cluster_mix, AdmissionPolicy, ClusterSpec, DeadlineSpec, PoissonArrivals,
+    SchedulerKind, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::planner::{plan, PlanSpace, PlanTarget, SearchBudget, TrafficSpec};
@@ -21,14 +23,16 @@ use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use simcore::rng::SimRng;
 use simcore::stats::Reservoir;
+use simcore::time::SimDuration;
 use workload::WorkloadSpec;
 
-fn small_server() -> Server {
+/// OPT-1.3B on DRAM under HeLM placement at `batch`.
+fn small_server(batch: u32) -> Server {
     let model = ModelConfig::opt_1_3b();
     let memory = HostMemoryConfig::dram();
     let policy = Policy::paper_default(&model, memory.kind())
         .with_placement(PlacementKind::Helm)
-        .with_batch_size(2);
+        .with_batch_size(batch);
     Server::new(SystemConfig::paper_platform(memory), model, policy).unwrap()
 }
 
@@ -50,7 +54,7 @@ fn empty_cluster_mix_is_a_typed_error() {
     assert_invalid_config(result, "empty mix");
     let mut spec = ClusterSpec::new(1);
     spec.pipelines = 0;
-    let result = run_cluster(&small_server(), &workload, &mut arrivals, 10, spec);
+    let result = run_cluster(&small_server(2), &workload, &mut arrivals, 10, spec);
     assert_invalid_config(result, "zero pipelines");
 }
 
@@ -60,7 +64,7 @@ fn empty_cluster_mix_is_a_typed_error() {
 /// rate, and traffic with no requests.
 #[test]
 fn degenerate_plan_inputs_are_typed_errors() {
-    let server = small_server();
+    let server = small_server(2);
     let workload = WorkloadSpec::new(32, 3, 1);
     let traffic = TrafficSpec::new(1.0, 50, 7);
     let target = PlanTarget::attainment(0.9);
@@ -123,7 +127,7 @@ fn degenerate_plan_inputs_are_typed_errors() {
 /// zeros.
 #[test]
 fn zero_request_serve_reports_honest_zeros() {
-    let server = small_server();
+    let server = small_server(2);
     let workload = WorkloadSpec::new(32, 3, 1);
     for granularity in [StepGranularity::PerStep, StepGranularity::Coalesced] {
         let spec = ClusterSpec::new(2).with_granularity(granularity);
@@ -140,6 +144,66 @@ fn zero_request_serve_reports_honest_zeros() {
         assert_eq!(report.attribution.queue_fraction(), 0.0);
         assert_eq!(report.attribution.compute_fraction(), 0.0);
         assert_eq!(report.attribution.transfer_fraction(), 0.0);
+    }
+}
+
+/// Arrival rates at both ends of the `f64` range reach the cluster
+/// engine intact: λ = 1e-300 spaces arrivals ~1e300 s apart, far past
+/// any service time, and λ = 1e300 stacks them onto one instant. Over
+/// both batching modes, both dispatch/admission pairs and one or 50
+/// requests, every run completes, accounts for every request overall
+/// and per pipeline, renders no NaN, and reruns byte-identically. Only
+/// NaN is ruled out: one request at λ = 1e-300 has a zero makespan, so
+/// its throughput is infinite (the CLI prints it as `null`).
+#[test]
+fn extreme_arrival_rates_give_honest_reports() {
+    let server = small_server(4);
+    let workload = WorkloadSpec::paper_default();
+    let policies = [
+        (
+            SchedulerKind::JoinShortestQueue,
+            AdmissionPolicy::AcceptAll,
+            DeadlineSpec::None,
+        ),
+        (
+            SchedulerKind::DeadlineAware,
+            AdmissionPolicy::DeadlineFeasible,
+            DeadlineSpec::Fixed(SimDuration::from_secs(30.0)),
+        ),
+    ];
+    for lambda in [1e-300, 1e-9, 1e9, 1e300] {
+        for continuous in [false, true] {
+            for (scheduler, admission, deadlines) in policies {
+                for n in [1usize, 50] {
+                    let spec = ClusterSpec::new(2)
+                        .with_scheduler(scheduler)
+                        .with_admission(admission)
+                        .with_deadlines(deadlines)
+                        .with_continuous(continuous);
+                    let case = format!("λ={lambda:e} continuous={continuous} {scheduler:?} n={n}");
+                    let run = || {
+                        let mut arrivals = PoissonArrivals::new(lambda, 11);
+                        run_cluster(&server, &workload, &mut arrivals, n, spec)
+                            .unwrap_or_else(|e| panic!("{case}: {e}"))
+                    };
+                    let report = run();
+                    assert_eq!(
+                        report.served + report.rejected + report.expired,
+                        n as u64,
+                        "{case}: requests lost"
+                    );
+                    let per_pipe: u64 = report
+                        .per_pipeline
+                        .iter()
+                        .map(|p| p.served + p.rejected + p.expired)
+                        .sum();
+                    assert_eq!(per_pipe, n as u64, "{case}: pipelines lost requests");
+                    let rendered = format!("{report:?}");
+                    assert!(!rendered.contains("NaN"), "{case}: NaN in {rendered}");
+                    assert_eq!(rendered, format!("{:?}", run()), "{case}: rerun diverged");
+                }
+            }
+        }
     }
 }
 

@@ -27,7 +27,6 @@ use helm_core::system::SystemConfig;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use proptest::prelude::*;
-use simcore::queue::QueueBackend;
 use workload::WorkloadSpec;
 
 const REPEATS: usize = 3;
@@ -92,11 +91,10 @@ fn des_reports_are_byte_identical_across_repeated_runs() {
 
 /// Determinism at production scale: a 100 000-request mixed-cluster
 /// run must render the *entire* `ClusterReport` byte-identically
-/// across repeated runs, and the calendar-queue scheduler must match
-/// the binary-heap scheduler byte for byte — in both recording
-/// modes. This is the scale the calendar queue and the pooled
-/// event/request state exist for; any pop-order or accumulation-order
-/// drift they introduced would surface here as a diff.
+/// across repeated runs, in both recording modes. This is the scale
+/// the pooled event/request state exists for; any pop-order or
+/// accumulation-order drift it introduced would surface here as a
+/// diff.
 #[test]
 fn cluster_reports_byte_identical_at_1e5_requests() {
     let model = ModelConfig::opt_175b();
@@ -121,11 +119,10 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
     .expect("all-cpu server");
     let groups: &[(&Server, usize)] = &[(&helm, 1), (&allcpu, 2)];
     for record in [RecordMode::Full, RecordMode::Aggregate] {
-        let run = |backend: QueueBackend| {
+        let run = || {
             let spec = ClusterSpec::new(1)
                 .with_scheduler(SchedulerKind::JoinShortestQueue)
-                .with_record(record)
-                .with_backend(backend);
+                .with_record(record);
             // A fresh arrival process per run: identical draws, so any
             // report diff comes from the engine, not the workload.
             let mut arrivals = PoissonArrivals::new(2.0, 97);
@@ -134,17 +131,7 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
             assert!(report.audit.is_some(), "audit ledgers absent in debug run");
             format!("{report:?}")
         };
-        let first = run(QueueBackend::Calendar);
-        assert_eq!(
-            first,
-            run(QueueBackend::Calendar),
-            "repeated cluster run diverged ({record:?})"
-        );
-        assert_eq!(
-            first,
-            run(QueueBackend::Heap),
-            "calendar and heap schedulers diverged ({record:?})"
-        );
+        assert_eq!(run(), run(), "repeated cluster run diverged ({record:?})");
     }
 }
 

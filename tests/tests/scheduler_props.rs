@@ -1,18 +1,18 @@
-//! Scheduler-equivalence properties: the calendar-queue backend must
-//! be observationally identical to the binary-heap backend.
+//! Event-queue properties: `EventQueue` must pop exactly what a
+//! brute-force model of its `(time, seq)` order pops.
 //!
 //! The DES engine's determinism contract is a single `(time, seq)`
-//! total order over events; the calendar queue is allowed to change
-//! the *cost* of maintaining that order, never the order itself.
-//! These properties drive both backends through the same randomized
-//! schedule — quantized times to force exact ties, a heavy-tailed
-//! band to force far-future buckets, and interleaved pops so the
-//! calendar's current-bucket cursor rewinds and resizes mid-run —
-//! and require the popped `(time-bits, id)` sequences to match
-//! element for element.
+//! total order over events: earliest time first, FIFO among equal
+//! times. The model states that contract directly — a `Vec` of
+//! `(time bits, push index)` pairs whose minimum is found by a linear
+//! scan — and these properties drive the queue and the model through
+//! the same randomized schedule: quantized times to force exact ties,
+//! 1e9-scaled times to land events far past everything else, and
+//! interleaved `pop`, `pop_before` and `peek_time` calls. Every answer
+//! must match the model's, times compared bit for bit.
 
 use proptest::prelude::*;
-use simcore::queue::{EventQueue, QueueBackend};
+use simcore::queue::EventQueue;
 use simcore::time::SimTime;
 
 /// One step of a randomized schedule.
@@ -20,71 +20,116 @@ use simcore::time::SimTime;
 enum Op {
     /// Push at this many seconds (payload is the push index).
     Push(f64),
-    /// Pop once from both queues and compare.
+    /// Pop once from the queue and the model and compare.
     Pop,
+    /// Pop only an event due at or before this many seconds.
+    PopBefore(f64),
 }
 
-/// Mixes three time regimes so the calendar gets no free pass:
-/// quantized times collide exactly (FIFO ties must hold), continuous
-/// times scatter across buckets, and far-future times land orders of
-/// magnitude past the current bucket ring. Weights (out of 9): 3
-/// quantized pushes, 2 continuous, 1 far-future, 3 pops.
+/// Brute-force reference: pending `(time bits, push index)` pairs.
+/// Times are non-negative, so bit order is time order, and push
+/// indices are unique, so the minimum pair is the `(time, seq)`
+/// minimum.
+#[derive(Debug, Default)]
+struct Model(Vec<(u64, u64)>);
+
+impl Model {
+    fn min(&self) -> Option<(usize, (u64, u64))> {
+        self.0
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, key)| key)
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        let (idx, key) = self.min()?;
+        self.0.remove(idx);
+        Some(key)
+    }
+
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(u64, u64)> {
+        match self.min() {
+            Some((_, (bits, _))) if bits <= horizon.as_secs().to_bits() => self.pop(),
+            _ => None,
+        }
+    }
+
+    fn peek_bits(&self) -> Option<u64> {
+        self.min().map(|(_, (bits, _))| bits)
+    }
+}
+
+/// A popped queue entry as the model keys it.
+fn key(popped: Option<(SimTime, u64)>) -> Option<(u64, u64)> {
+    popped.map(|(t, id)| (t.as_secs().to_bits(), id))
+}
+
+/// Mixes three time regimes: quantized times collide exactly (FIFO
+/// ties must hold), continuous times scatter, and far-future times
+/// land orders of magnitude past the rest. Weights (out of 10): 3
+/// quantized pushes, 2 continuous, 1 far-future, 3 pops, 1 bounded
+/// pop at a horizon drawn from the same range as the pushes.
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u32..9, 0u32..200, 0.0f64..100.0).prop_map(|(sel, q, secs)| match sel {
+    (0u32..10, 0u32..200, 0.0f64..100.0).prop_map(|(sel, q, secs)| match sel {
         0..=2 => Op::Push(f64::from(q) * 0.25),
         3 | 4 => Op::Push(secs),
         5 => Op::Push(secs * 1.0e9),
-        _ => Op::Pop,
+        6..=8 => Op::Pop,
+        _ => Op::PopBefore(f64::from(q) * 0.25),
     })
 }
 
-/// Runs one schedule against both backends, comparing every pop (and
-/// the final drain) for identical `(time, id)`.
+/// Runs one schedule against the queue and the model, comparing every
+/// pop, bounded pop, peek and length, then the final drain.
 fn check_schedule(ops: &[Op]) {
-    let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-    let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+    let mut queue = EventQueue::new();
+    let mut model = Model::default();
     let mut id = 0u64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Push(secs) => {
                 let time = SimTime::from_secs(secs);
-                cal.push(time, id);
-                heap.push(time, id);
+                queue.push(time, id);
+                model.0.push((time.as_secs().to_bits(), id));
                 id += 1;
             }
             Op::Pop => {
-                let c = cal.pop();
-                let h = heap.pop();
+                assert_eq!(key(queue.pop()), model.pop(), "pop diverged at step {step}");
+            }
+            Op::PopBefore(secs) => {
+                let horizon = SimTime::from_secs(secs);
                 assert_eq!(
-                    c.map(|(t, e)| (t.as_secs().to_bits(), e)),
-                    h.map(|(t, e)| (t.as_secs().to_bits(), e)),
-                    "pop diverged at step {step}"
+                    key(queue.pop_before(horizon)),
+                    model.pop_before(horizon),
+                    "pop_before({secs}) diverged at step {step}"
                 );
             }
         }
-        assert_eq!(cal.len(), heap.len(), "length diverged at step {step}");
-    }
-    while let Some(h) = heap.pop() {
-        let c = cal.pop().expect("calendar drained early");
         assert_eq!(
-            (c.0.as_secs().to_bits(), c.1),
-            (h.0.as_secs().to_bits(), h.1),
-            "drain diverged"
+            queue.peek_time().map(|t| t.as_secs().to_bits()),
+            model.peek_bits(),
+            "peek_time diverged at step {step}"
         );
+        assert_eq!(queue.len(), model.0.len(), "length diverged at step {step}");
     }
-    assert!(cal.is_empty(), "calendar kept events the heap drained");
+    while let Some(expected) = model.pop() {
+        assert_eq!(key(queue.pop()), Some(expected), "drain diverged");
+    }
+    assert!(queue.is_empty(), "queue kept events the model drained");
+    assert!(queue.pop().is_none() && queue.peek_time().is_none());
 }
 
 proptest! {
     /// Randomized push/pop interleavings, ties and far-future events
-    /// included: identical pop sequences.
+    /// included: every pop, bounded pop and peek matches the model.
     #[test]
-    fn backends_pop_identical_sequences(ops in prop::collection::vec(op_strategy(), 1..400)) {
+    fn pops_match_the_model(ops in prop::collection::vec(op_strategy(), 1..400)) {
         check_schedule(&ops);
     }
 
     /// All-ties schedules: every event at one instant, so the order
-    /// is pure FIFO by sequence number on both backends.
+    /// is pure FIFO by push index.
     #[test]
     fn exact_ties_stay_fifo(at in 0.0f64..1.0e6, n in 1usize..300) {
         let ops: Vec<Op> = std::iter::repeat_n(Op::Push(at), n)
@@ -94,16 +139,16 @@ proptest! {
     }
 }
 
-/// A directed worst case no random schedule reliably hits: a dense
-/// near-term cluster plus one event so far out the calendar must skip
-/// nearly its whole ring (or resize) to find it — then events pushed
-/// *behind* the cursor after that jump.
+/// A directed case no random schedule reliably hits: a dense
+/// near-term cluster plus one event far past it, drained past that
+/// event, then events pushed *behind* the last popped time.
 #[test]
 fn far_future_then_backfill() {
     let mut ops: Vec<Op> = (0..64).map(|i| Op::Push(f64::from(i) * 0.125)).collect();
     ops.push(Op::Push(3.0e12));
     ops.extend(std::iter::repeat_n(Op::Pop, 65));
     ops.extend((0..64).map(|i| Op::Push(f64::from(i) * 0.125)));
+    ops.push(Op::PopBefore(1.0));
     ops.push(Op::Pop);
     check_schedule(&ops);
 }
