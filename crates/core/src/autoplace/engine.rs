@@ -10,7 +10,12 @@
 //! without touching the pipeline executor and without building the
 //! candidate's cost table (the bound reads the same per-layer cost
 //! functions the table would cache, so pruned candidates never pay
-//! for a table at all). Candidates are then sorted best-bound-first
+//! for a table at all). The placement is dropped once the bound is
+//! known, and an evaluation rebuilds it from the template. A level
+//! holds its screened candidates until it ends; holding their
+//! placements too left a level's worth of them in each worker
+//! thread's allocator arena and nearly tripled the search's peak
+//! resident memory. Candidates are then sorted best-bound-first
 //! and costed in chunks. Because the schedule is bound-sorted and an
 //! incumbent's objective only ever improves, the first pruned
 //! candidate proves every candidate after it in the schedule is
@@ -162,19 +167,16 @@ fn zoom_steps(fine: u32) -> Vec<u32> {
     steps
 }
 
-/// A feasible candidate after the cheap screening pass: its placement,
-/// the batch the objective assigns it, and its objective-space bound
-/// (`None` when no sound bound exists — those sort first and are
-/// always costed). No cost table yet: screening's bound reads the
-/// per-layer cost functions directly, and only candidates that reach
-/// a pipeline run pay for a table build. The placement is built once
-/// per lattice point and shared by every batch expanded from it and
-/// by the evaluation that costs it.
+/// A feasible candidate after the cheap screening pass: the batch the
+/// objective assigns it and its objective-space bound (`None` when no
+/// sound bound exists — those sort first and are always costed). No
+/// placement and no cost table: screening builds the placement only
+/// to compute the bound, and only candidates that reach a pipeline
+/// run rebuild it and pay for a table build.
 struct Screened {
     mha: u32,
     ffn: u32,
     batch: u32,
-    placement: Arc<ModelPlacement>,
     bound: Option<f64>,
 }
 
@@ -185,7 +187,7 @@ struct Evaluation {
     mha: u32,
     ffn: u32,
     batch: u32,
-    placement: Arc<ModelPlacement>,
+    placement: ModelPlacement,
     table: LayerCostTable,
     report: RunReport,
 }
@@ -339,9 +341,7 @@ impl<'a> SearchEngine<'a> {
             mha_gpu_percent: f64::from(winner.mha) / 2.0,
             ffn_gpu_percent: f64::from(winner.ffn) / 2.0,
             batch: winner.batch,
-            // The levels' schedules are gone, so the winning
-            // evaluation holds the last reference: this moves.
-            placement: Arc::unwrap_or_clone(winner.placement),
+            placement: winner.placement,
             report,
             stats: state.stats,
             frontier: state.frontier,
@@ -463,24 +463,20 @@ impl<'a> SearchEngine<'a> {
     /// template's byte totals, picks the candidate batches, and
     /// computes each analytical bound — no pipeline run. The
     /// placement itself is materialized only for points that pass the
-    /// host-memory check (on the coarse grid, more than half fail).
+    /// host-memory check (on the coarse grid, more than half fail),
+    /// and only until their bounds are computed.
     /// An empty result means infeasible. With a joint batch space
     /// ([`SearchSpace::batches`]) one point expands into one
     /// candidate per listed batch that fits GPU memory alongside it.
     /// Pure in the candidate, so it can run on any worker.
     fn screen(&self, (mha, ffn): (u32, u32)) -> Vec<Screened> {
-        let share = |half: u32| {
-            let pct = f64::from(half) / 2.0;
-            [pct, 100.0 - pct, 0.0]
-        };
-        let mha_pct = share(mha);
-        let ffn_pct = share(ffn);
-        let other_pct = [0.0, 100.0, 0.0];
+        let mha_pct = gpu_share(mha);
+        let ffn_pct = gpu_share(ffn);
         // Byte totals alone decide both feasibility checks, and the
         // template's totals are exactly the built placement's totals
         // (a pinned invariant), so rejected candidates never pay for
         // per-layer placement materialization.
-        let totals = self.template.totals(mha_pct, ffn_pct, other_pct);
+        let totals = self.template.totals(mha_pct, ffn_pct, OTHER_SHARE);
         if totals.cpu > self.host_capacity {
             return Vec::new();
         }
@@ -517,7 +513,7 @@ impl<'a> SearchEngine<'a> {
         if batches.is_empty() {
             return Vec::new();
         }
-        let placement = Arc::new(self.template.build(mha_pct, ffn_pct, other_pct));
+        let placement = self.template.build(mha_pct, ffn_pct, OTHER_SHARE);
         batches
             .into_iter()
             .map(|batch| {
@@ -540,7 +536,6 @@ impl<'a> SearchEngine<'a> {
                     mha,
                     ffn,
                     batch,
-                    placement: Arc::clone(&placement),
                     bound,
                 }
             })
@@ -575,12 +570,19 @@ impl<'a> SearchEngine<'a> {
                 return Outcome::Pruned(screened.mha, screened.ffn);
             }
         }
+        // The same placement `screen` bounded: the template is
+        // deterministic.
+        let placement = self.template.build(
+            gpu_share(screened.mha),
+            gpu_share(screened.ffn),
+            OTHER_SHARE,
+        );
         let candidate_policy = self.policy.clone().with_batch_size(screened.batch);
         let inputs = PipelineInputs {
             system: self.system,
             model: self.model,
             policy: &candidate_policy,
-            placement: &screened.placement,
+            placement: &placement,
             workload: self.workload,
         };
         // Only here — past the bound check — does the candidate pay
@@ -595,7 +597,7 @@ impl<'a> SearchEngine<'a> {
                 mha: screened.mha,
                 ffn: screened.ffn,
                 batch: screened.batch,
-                placement: Arc::clone(&screened.placement),
+                placement,
                 table,
                 report,
             })),
@@ -632,6 +634,17 @@ impl<'a> SearchEngine<'a> {
         }
     }
 }
+
+/// The `(gpu, host, storage)` percentages of a lattice coordinate in
+/// half-percent units.
+fn gpu_share(half: u32) -> [f64; 3] {
+    let pct = f64::from(half) / 2.0;
+    [pct, 100.0 - pct, 0.0]
+}
+
+/// The embedding layers' percentages: every candidate keeps them on
+/// host.
+const OTHER_SHARE: [f64; 3] = [0.0, 100.0, 0.0];
 
 /// The full coarse grid, row-major: every `(mha, ffn)` multiple of
 /// [`COARSE_STEP`] in `[0, AXIS_MAX]` half-percent units.

@@ -18,8 +18,10 @@
 //! `max(c↑_j, l↑_j)`. That is sound whatever order the executor
 //! actually interleaves loads in, and far tighter than the classic
 //! `max(Σ compute, Σ load)` relaxation it supersedes. Per-layer loads
-//! come from the executor's own [`load_time`] model (a per-layer sum,
-//! ~20x cheaper than the full token × layer pipeline); a coarser
+//! come from the executor's own [`load_time`] model, priced once per
+//! distinct (cpu, disk) split as the cost table prices them (a
+//! per-layer sum, ~20x cheaper than the full token × layer
+//! pipeline); a coarser
 //! bytes-over-theoretical-link floor is kept alongside because it
 //! needs no per-tier modeling. Decode compute is monotone in the token
 //! index, so token 1 is the cheapest decode step. KV streaming and
@@ -41,7 +43,7 @@ use crate::placement::Tier;
 use crate::system::SystemConfig;
 use llm::ModelConfig;
 use simcore::time::SimDuration;
-use simcore::units::Bandwidth;
+use simcore::units::{Bandwidth, ByteSize};
 use workload::WorkloadSpec;
 
 use super::Objective;
@@ -98,26 +100,41 @@ impl BoundContext {
         sorted_computes: &[SimDuration],
     ) -> Option<SimDuration> {
         let placed = inp.placement.layers();
+        let dtype = inp.placement.dtype();
         let cpu_ws = inp.placement.total_on(Tier::Cpu);
         let disk_ws = inp.placement.total_on(Tier::Disk);
-        let mut loads = Vec::with_capacity(placed.len());
+        // `(cpu bytes, disk bytes, load)` per layer. A split priced
+        // before is looked up here, latest first, as the cost table
+        // does: `load_time` reads nothing else of the layer.
+        let mut loads: Vec<(ByteSize, ByteSize, SimDuration)> = Vec::with_capacity(placed.len());
         for lp in placed {
-            loads.push(load_time(inp, lp, cpu_ws, disk_ws).ok()?);
+            let cpu = lp.bytes_on(Tier::Cpu, dtype);
+            let disk = lp.bytes_on(Tier::Disk, dtype);
+            let load = match loads.iter().rev().find(|&&(c, d, _)| c == cpu && d == disk) {
+                Some(&(_, _, load)) => load,
+                None => load_time(inp, lp, cpu_ws, disk_ws).ok()?,
+            };
+            loads.push((cpu, disk, load));
         }
         // Drop the largest load (the final token may skip exactly one
         // prefetch) and pair the remainder with a zero-load step.
-        loads.sort_unstable();
+        loads.sort_unstable_by_key(|&(_, _, load)| load);
         if let Some(last) = loads.last_mut() {
-            *last = SimDuration::ZERO;
+            last.2 = SimDuration::ZERO;
         }
         loads.rotate_right(1);
         let paired: SimDuration = sorted_computes
             .iter()
             .zip(&loads)
-            .map(|(&c, &l)| c.max(l))
+            .map(|(&c, &(_, _, l))| c.max(l))
             .fold(SimDuration::ZERO, |acc, step| acc + step);
         let working_set = inp.placement.offloaded_working_set();
-        let skipped = inp.placement.largest_offloaded_layer();
+        // `largest_offloaded_layer`, from the splits read above.
+        let skipped = loads
+            .iter()
+            .map(|&(cpu, disk, _)| cpu + disk)
+            .max()
+            .unwrap_or(ByteSize::ZERO);
         let link_floor = self.peak_link.time_for(working_set - skipped);
         Some(paired.max(link_floor) + self.sync_per_pass)
     }

@@ -138,6 +138,14 @@ pub(crate) struct WritebackCost {
 /// [`crate::exec_des::run_pipeline_des_with`]) consume the same
 /// table; the DES prices its own weight and write-back flows once per
 /// run, so analytic-only callers never pay for them.
+///
+/// The table holds one entry per layer but prices each distinct layer
+/// once. Compute (prefill and decode) is priced once per
+/// [`LayerKind`]: [`Layer`]'s cost methods read only its kind and the
+/// model config, so every layer of one kind in a placement has one
+/// shape. [`load_time`] is priced once per distinct (cpu bytes, disk
+/// bytes) split, the only part of the layer it reads. Earlier prices
+/// are found among the entries already built, with no side map.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
     layers: Vec<LayerCosts>,
@@ -179,56 +187,40 @@ impl LayerCostTable {
         let cpu_ws = inp.placement.total_on(Tier::Cpu);
         let disk_ws = inp.placement.total_on(Tier::Disk);
         let dtype = inp.placement.dtype();
-        let batch = inp.policy.batch_size();
         let effective_batch = inp.policy.effective_batch();
         let kv_per_token = llm::kv::kv_bytes_per_token_per_block(inp.model);
-        let gpu = inp.system.gpu();
 
-        let mut layers = Vec::with_capacity(placed.len());
+        let mut layers: Vec<LayerCosts> = Vec::with_capacity(placed.len());
         for lp in placed {
             let layer = lp.layer();
-            let decode_compute = match layer.kind() {
-                LayerKind::Mha => {
-                    // Split kernel_plan(Decode) at the attention GEMM,
-                    // whose flop/byte operands depend on the context.
-                    let tokens = u64::from(batch); // one new token each
-                    let act = layer.activation_bytes(tokens).as_f64();
-                    let mut pre = SimDuration::ZERO;
-                    if inp.policy.compressed() {
-                        let compressed: ByteSize = layer
-                            .weight_specs()
-                            .iter()
-                            .filter(|s| {
-                                matches!(s.kind(), WeightKind::Linear | WeightKind::Embedding)
-                            })
-                            .map(|s| s.bytes(DType::Int4Grouped))
-                            .sum();
-                        if compressed > ByteSize::ZERO {
-                            pre += gpu.kernel_time(&KernelProfile::dequant(compressed.as_f64()));
-                        }
-                    }
-                    DecodeCompute::Attention {
-                        pre,
-                        post: gpu.kernel_time(&KernelProfile::elementwise(act)),
-                        matmul_flops: layer.matmul_flops(tokens),
-                        att_prefix: 2.0 * 2.0 * f64::from(batch) * 1.0,
-                        hidden: inp.model.hidden_size() as f64,
-                        weight_bytes: layer.weight_bytes(DType::F16).as_f64(),
-                        act_bytes: act,
-                        batch,
-                    }
-                }
-                _ => DecodeCompute::Invariant(compute_time(inp, layer, Stage::Decode, 1)),
-            };
+            let kind = layer.kind();
             let cpu_bytes = lp.bytes_on(Tier::Cpu, dtype);
             let disk_bytes = lp.bytes_on(Tier::Disk, dtype);
+            // Earlier prices are looked up in the table itself, latest
+            // first: same-kind layers sit two apart in a decoder stack.
+            let (prefill_compute, decode_compute) =
+                match layers.iter().rev().find(|c| c.kind == kind) {
+                    Some(c) => (c.prefill_compute, c.decode_compute),
+                    None => (
+                        compute_time(inp, layer, Stage::Prefill, 0),
+                        decode_compute(inp, layer),
+                    ),
+                };
+            let load = match layers
+                .iter()
+                .rev()
+                .find(|c| c.cpu_bytes == cpu_bytes && c.disk_bytes == disk_bytes)
+            {
+                Some(c) => c.load,
+                None => load_time(inp, lp, cpu_ws, disk_ws)?,
+            };
             layers.push(LayerCosts {
-                kind: layer.kind(),
-                load: load_time(inp, lp, cpu_ws, disk_ws)?,
+                kind,
+                load,
                 cpu_bytes,
                 disk_bytes,
                 offloaded: cpu_bytes + disk_bytes,
-                prefill_compute: compute_time(inp, layer, Stage::Prefill, 0),
+                prefill_compute,
                 decode_compute,
             });
         }
@@ -339,6 +331,42 @@ impl LayerCostTable {
                 audit.delivered(channel, bytes);
             }
         }
+    }
+}
+
+/// The decode compute of one layer as the table caches it: every
+/// non-MHA kind is token-invariant; MHA keeps kernel_plan(Decode)
+/// split at the attention GEMM, whose flop/byte operands depend on
+/// the context.
+fn decode_compute(inp: &PipelineInputs<'_>, layer: &Layer) -> DecodeCompute {
+    if layer.kind() != LayerKind::Mha {
+        return DecodeCompute::Invariant(compute_time(inp, layer, Stage::Decode, 1));
+    }
+    let gpu = inp.system.gpu();
+    let batch = inp.policy.batch_size();
+    let tokens = u64::from(batch); // one new token each
+    let act = layer.activation_bytes(tokens).as_f64();
+    let mut pre = SimDuration::ZERO;
+    if inp.policy.compressed() {
+        let compressed: ByteSize = layer
+            .weight_specs()
+            .iter()
+            .filter(|s| matches!(s.kind(), WeightKind::Linear | WeightKind::Embedding))
+            .map(|s| s.bytes(DType::Int4Grouped))
+            .sum();
+        if compressed > ByteSize::ZERO {
+            pre += gpu.kernel_time(&KernelProfile::dequant(compressed.as_f64()));
+        }
+    }
+    DecodeCompute::Attention {
+        pre,
+        post: gpu.kernel_time(&KernelProfile::elementwise(act)),
+        matmul_flops: layer.matmul_flops(tokens),
+        att_prefix: 2.0 * 2.0 * f64::from(batch) * 1.0,
+        hidden: inp.model.hidden_size() as f64,
+        weight_bytes: layer.weight_bytes(DType::F16).as_f64(),
+        act_bytes: act,
+        batch,
     }
 }
 

@@ -148,6 +148,13 @@ impl ServiceModel {
     /// Calibrates the model by running `server`'s pipeline at batch 1
     /// and at the policy's full batch.
     ///
+    /// Both points run on the server's own placement: the batch-1
+    /// point changes only the policy's batch, which
+    /// [`crate::placement::ModelPlacement::compute`] never reads, so
+    /// no second [`Server`] is built. HeLM's capacity demotion is
+    /// decided again at batch 1, so a replica demoted at its full
+    /// batch still calibrates its batch-1 point undemoted.
+    ///
     /// # Errors
     ///
     /// Propagates validation and tier errors from the underlying
@@ -158,16 +165,7 @@ impl ServiceModel {
         // so both runs skip per-step record materialization.
         let full = server.run_aggregate(workload)?;
         let single = if max_batch > 1 {
-            Server::new(
-                server.system().clone(),
-                server.model().clone(),
-                server
-                    .policy()
-                    .clone()
-                    .with_batch_size(1)
-                    .with_gpu_batches(1),
-            )?
-            .run_aggregate(workload)?
+            server.run_aggregate_single(workload)?
         } else {
             full.clone()
         };
@@ -2144,6 +2142,123 @@ mod tests {
                 "batch {b}: split {rebuilt} vs total {total}"
             );
         }
+    }
+
+    /// Every calibrated field, pinned through `f64::to_bits` at the
+    /// values the two-`Server` calibration produced, so a faster
+    /// calibration must reproduce it bit for bit. The cases are the
+    /// three capacity-planner templates, HeLM b8 (whose capacity
+    /// demotion applies at batch 8 but not at batch 1), and a split
+    /// disk/host placement with KV write-backs.
+    #[test]
+    fn calibrated_models_are_pinned_bit_for_bit() {
+        let ws = WorkloadSpec::new(128, 21, 1);
+        let ssd_kv = {
+            let model = ModelConfig::opt_175b();
+            let policy = Policy::paper_default(&model, hetmem::MemoryConfigKind::Ssd)
+                .with_batch_size(2)
+                .with_kv_offload(true);
+            Server::new(
+                SystemConfig::paper_platform(HostMemoryConfig::ssd()),
+                model,
+                policy,
+            )
+            .unwrap()
+        };
+        // (name, server, max_batch, bits of [t1, tn, ttft1, ttftn,
+        // tbt1, tbtn, xfer1, xfern]).
+        let cases: [(&str, Server, u32, [u64; 8]); 5] = [
+            (
+                "helm b4",
+                server(PlacementKind::Helm, 4),
+                4,
+                [
+                    0x4058612cf5e8731d,
+                    0x405887b2d0530123,
+                    0x4012a91d2eac3116,
+                    0x40150fbf9a75a7f2,
+                    0x40129215b597c00a,
+                    0x4012922bdeefb883,
+                    0x3fd910c8089b96ac,
+                    0x3fd8e96ae6996c9b,
+                ],
+            ),
+            (
+                "all-cpu b44",
+                server(PlacementKind::AllCpu, 44),
+                44,
+                [
+                    0x40610f88a18cc2b4,
+                    0x4062816b28d98f8e,
+                    0x401a168d8fc2b3fa,
+                    0x40320e8360b68a6b,
+                    0x4019fe2054e44820,
+                    0x4019ff5dfad13068,
+                    0x3fe2173a7175df2b,
+                    0x3fdfc6bef0f37bc3,
+                ],
+            ),
+            (
+                "baseline b4",
+                server(PlacementKind::Baseline, 4),
+                4,
+                [
+                    0x4060fd37fdecbcc4,
+                    0x4061107b152dd040,
+                    0x4019f9bb27bda18f,
+                    0x401c60621f2e85f8,
+                    0x4019e2436de47f8d,
+                    0x4019e259a053c680,
+                    0x3fe1f601505f03b8,
+                    0x3fe1e1bb2380792b,
+                ],
+            ),
+            (
+                "helm b8",
+                server(PlacementKind::Helm, 8),
+                8,
+                [
+                    0x4058612cf5e8731d,
+                    0x40613dac2acbc541,
+                    0x4012a91d2eac3116,
+                    0x401fe7d8f8d7491f,
+                    0x40129215b597c00a,
+                    0x4019fd7bd1a1ab26,
+                    0x3fd910c8089b96ac,
+                    0x3fe1e49486b102d1,
+                ],
+            ),
+            (
+                "ssd baseline b2 kv",
+                ssd_kv,
+                2,
+                [
+                    0x40a1ed954e0048f4,
+                    0x40a1eea21b556a31,
+                    0x405b77d8fd37946a,
+                    0x405b77d8fd37946a,
+                    0x405b4fbda35746e8,
+                    0x405b516bb8ac48e3,
+                    0x3feffffe8ce118e0,
+                    0x3feffffe8cf3ac6c,
+                ],
+            ),
+        ];
+        for (name, s, max_batch, bits) in &cases {
+            let m = ServiceModel::calibrate(s, &ws).unwrap();
+            assert_eq!(m.max_batch, *max_batch, "{name}");
+            assert_eq!(m.gen_len, 21, "{name}");
+            let got = [
+                m.t1, m.tn, m.ttft1, m.ttftn, m.tbt1, m.tbtn, m.xfer1, m.xfern,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, *bits, "{name}");
+        }
+        // HeLM b8 is demoted at its own batch only: its batch-1 point
+        // is HeLM b4's, so it cannot reuse the batch-8 placement.
+        let helm8 = &cases[3].1;
+        assert_ne!(&helm8.effective_placement(&ws), helm8.placement());
+        assert_eq!(cases[3].3[0], cases[0].3[0]);
     }
 
     #[test]

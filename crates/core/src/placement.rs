@@ -165,13 +165,75 @@ impl LayerPlacement {
 /// assert!((cpu - 91.7).abs() < 0.5);
 /// assert!((gpu - 8.3).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct ModelPlacement {
     layers: Vec<LayerPlacement>,
     dtype: DType,
+    /// Bytes per tier, indexed by `tier_slot`; summed once at
+    /// construction.
+    totals: [ByteSize; 3],
+    /// [`ModelPlacement::staging_bytes`], summed once at construction.
+    staging: ByteSize,
+}
+
+/// Prints the placement itself (`layers`, `dtype`) and not the totals
+/// derived from it: report digests hash this output.
+impl fmt::Debug for ModelPlacement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ModelPlacement")
+            .field("layers", &self.layers)
+            .field("dtype", &self.dtype)
+            .finish()
+    }
+}
+
+/// Index of `tier` in the `(disk, cpu, gpu)` order of
+/// [`ModelPlacement::achieved_distribution`].
+fn tier_slot(tier: Tier) -> usize {
+    match tier {
+        Tier::Disk => 0,
+        Tier::Cpu => 1,
+        Tier::Gpu => 2,
+    }
 }
 
 impl ModelPlacement {
+    /// Wraps per-layer placements, summing the per-tier totals and the
+    /// staging ring in one pass so no accessor rescans the layers.
+    fn new(layers: Vec<LayerPlacement>, dtype: DType) -> ModelPlacement {
+        let mut totals = [ByteSize::ZERO; 3];
+        let mut staging = ByteSize::ZERO;
+        // The first and the previous layer's offloaded bytes, for the
+        // cyclic adjacent-pair maximum.
+        let mut ends: Option<(ByteSize, ByteSize)> = None;
+        for lp in &layers {
+            let mut on = [ByteSize::ZERO; 3];
+            for w in &lp.weights {
+                on[tier_slot(w.tier)] += w.spec.bytes(dtype);
+            }
+            for (total, bytes) in totals.iter_mut().zip(on) {
+                *total += bytes;
+            }
+            let offloaded = on[0] + on[1];
+            ends = Some(match ends {
+                None => (offloaded, offloaded),
+                Some((first, prev)) => {
+                    staging = staging.max(prev + offloaded);
+                    (first, offloaded)
+                }
+            });
+        }
+        if let Some((first, last)) = ends {
+            staging = staging.max(last + first);
+        }
+        ModelPlacement {
+            layers,
+            dtype,
+            totals,
+            staging,
+        }
+    }
+
     /// Places every layer of `model` according to `policy`.
     pub fn compute(model: &ModelConfig, policy: &Policy) -> ModelPlacement {
         Self::compute_inner(model, policy, false)
@@ -256,7 +318,7 @@ impl ModelPlacement {
                 LayerPlacement { layer, weights }
             })
             .collect();
-        ModelPlacement { layers, dtype }
+        ModelPlacement::new(layers, dtype)
     }
 
     fn compute_inner(model: &ModelConfig, policy: &Policy, demote_ffn: bool) -> ModelPlacement {
@@ -287,7 +349,7 @@ impl ModelPlacement {
                 LayerPlacement { layer, weights }
             })
             .collect();
-        ModelPlacement { layers, dtype }
+        ModelPlacement::new(layers, dtype)
     }
 
     /// Per-layer placements in layer order.
@@ -300,19 +362,16 @@ impl ModelPlacement {
         self.dtype
     }
 
-    /// Total bytes on `tier`.
+    /// Total bytes on `tier`: the sum of every layer's
+    /// [`LayerPlacement::bytes_on`], taken once when the placement is
+    /// built.
     pub fn total_on(&self, tier: Tier) -> ByteSize {
-        self.layers
-            .iter()
-            .map(|l| l.bytes_on(tier, self.dtype))
-            .sum()
+        self.totals[tier_slot(tier)]
     }
 
     /// The achieved (disk, cpu, gpu) percentage split by bytes.
     pub fn achieved_distribution(&self) -> [f64; 3] {
-        let disk = self.total_on(Tier::Disk).as_f64();
-        let cpu = self.total_on(Tier::Cpu).as_f64();
-        let gpu = self.total_on(Tier::Gpu).as_f64();
+        let [disk, cpu, gpu] = self.totals.map(ByteSize::as_f64);
         let total = disk + cpu + gpu;
         [
             100.0 * disk / total,
@@ -324,10 +383,7 @@ impl ModelPlacement {
     /// Bytes streamed from host+disk per full pass over the model —
     /// the cyclic working set driving Optane/Memory-Mode degradation.
     pub fn offloaded_working_set(&self) -> ByteSize {
-        self.layers
-            .iter()
-            .map(|l| l.offloaded_bytes(self.dtype))
-            .sum()
+        self.total_on(Tier::Disk) + self.total_on(Tier::Cpu)
     }
 
     /// The largest per-layer offloaded group (sizes the prefetch
@@ -343,16 +399,10 @@ impl ModelPlacement {
     /// Prefetch staging bytes: the pipeline double-buffers the
     /// offloaded portions of two consecutive layers (layer *j* in use
     /// while *j+1* streams), so the reservation is the largest
-    /// adjacent-pair sum (cyclic).
+    /// adjacent-pair sum (cyclic), taken once when the placement is
+    /// built.
     pub fn staging_bytes(&self) -> ByteSize {
-        let n = self.layers.len();
-        (0..n)
-            .map(|i| {
-                self.layers[i].offloaded_bytes(self.dtype)
-                    + self.layers[(i + 1) % n].offloaded_bytes(self.dtype)
-            })
-            .max()
-            .unwrap_or(ByteSize::ZERO)
+        self.staging
     }
 
     /// The achieved split for layers of one kind only (Fig 7b/7c and
@@ -532,10 +582,7 @@ impl CustomPlacementTemplate {
                 }
             })
             .collect();
-        ModelPlacement {
-            layers,
-            dtype: self.dtype,
-        }
+        ModelPlacement::new(layers, self.dtype)
     }
 }
 
@@ -834,6 +881,71 @@ mod tests {
                 .sum();
             assert_eq!(total, expect, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn construction_totals_match_a_layer_rescan() {
+        // The totals are summed once at construction; every
+        // constructor must leave exactly what a layer-by-layer rescan
+        // reads, including the cyclic staging pair.
+        let model = ModelConfig::opt_175b();
+        let mut placements = Vec::new();
+        for kind in [
+            PlacementKind::Baseline,
+            PlacementKind::Helm,
+            PlacementKind::AllCpu,
+        ] {
+            for compressed in [false, true] {
+                let (_, policy) = opt175b_policy(kind, compressed);
+                placements.push(ModelPlacement::compute(&model, &policy));
+                placements.push(ModelPlacement::compute_helm_demoted(&model, &policy));
+            }
+        }
+        let ssd = Policy::paper_default(&model, MemoryConfigKind::Ssd);
+        placements.push(ModelPlacement::compute(&model, &ssd));
+        for pinned in [0, 1, 48, 96] {
+            placements.push(ModelPlacement::compute_pinned_prefix(&model, true, pinned));
+        }
+        placements.push(ModelPlacement::compute_custom(
+            &model,
+            false,
+            [37.0, 33.0, 30.0],
+            [61.0, 9.0, 30.0],
+            [0.0, 50.0, 50.0],
+        ));
+        for p in &placements {
+            let dtype = p.dtype();
+            for tier in [Tier::Disk, Tier::Cpu, Tier::Gpu] {
+                let rescan: ByteSize = p.layers().iter().map(|l| l.bytes_on(tier, dtype)).sum();
+                assert_eq!(p.total_on(tier), rescan, "{tier}");
+            }
+            let offloaded: Vec<ByteSize> = p
+                .layers()
+                .iter()
+                .map(|l| l.offloaded_bytes(dtype))
+                .collect();
+            let n = offloaded.len();
+            let staging = (0..n)
+                .map(|i| offloaded[i] + offloaded[(i + 1) % n])
+                .max()
+                .unwrap_or(ByteSize::ZERO);
+            assert_eq!(p.staging_bytes(), staging);
+            assert_eq!(p.offloaded_working_set(), offloaded.iter().copied().sum());
+        }
+    }
+
+    #[test]
+    fn debug_prints_only_layers_and_dtype() {
+        // Report digests hash this rendering, so the cached totals
+        // must not appear in it.
+        let (model, policy) = opt175b_policy(PlacementKind::Helm, true);
+        let p = ModelPlacement::compute(&model, &policy);
+        let expected = format!(
+            "ModelPlacement {{ layers: {:?}, dtype: {:?} }}",
+            p.layers(),
+            p.dtype()
+        );
+        assert_eq!(format!("{p:?}"), expected);
     }
 
     #[test]

@@ -131,36 +131,38 @@ impl Server {
     /// would not fit alongside it (the paper's Table IV batch-8 HeLM
     /// regime); every other policy serves its nominal placement.
     pub fn effective_placement(&self, workload: &WorkloadSpec) -> ModelPlacement {
-        self.effective(workload).into_owned()
+        self.effective(&self.policy, workload).into_owned()
     }
 
-    /// [`Server::effective_placement`], borrowing the nominal
-    /// placement instead of copying it when no fallback applies.
-    fn effective(&self, workload: &WorkloadSpec) -> Cow<'_, ModelPlacement> {
-        if self.policy.placement() == crate::placement::PlacementKind::Helm {
+    /// [`Server::effective_placement`] for `policy`'s batch, borrowing
+    /// the nominal placement instead of copying it when no fallback
+    /// applies. `policy` is the server's own or a batch variant of it:
+    /// [`ModelPlacement::compute`] never reads the batch, so the
+    /// nominal placement is the same for both, and only the demotion
+    /// is decided again.
+    fn effective(&self, policy: &Policy, workload: &WorkloadSpec) -> Cow<'_, ModelPlacement> {
+        if policy.placement() == crate::placement::PlacementKind::Helm {
             let costs = self.costs_of(&self.placement, workload);
             let budget = MemoryBudget::for_gpu(self.system.gpu());
-            if !budget.fits(&costs, self.policy.effective_batch()) {
-                return Cow::Owned(ModelPlacement::compute_helm_demoted(
-                    &self.model,
-                    &self.policy,
-                ));
+            if !budget.fits(&costs, policy.effective_batch()) {
+                return Cow::Owned(ModelPlacement::compute_helm_demoted(&self.model, policy));
             }
         }
         Cow::Borrowed(&self.placement)
     }
 
-    /// The effective placement for `workload` once the policy's batch
-    /// is checked against the GPU memory it leaves — the one batch
-    /// check every validated run goes through.
+    /// The effective placement for `workload` once `policy`'s batch is
+    /// checked against the GPU memory it leaves — the one batch check
+    /// every validated run goes through.
     fn checked_placement(
         &self,
+        policy: &Policy,
         workload: &WorkloadSpec,
     ) -> Result<Cow<'_, ModelPlacement>, HelmError> {
-        let placement = self.effective(workload);
+        let placement = self.effective(policy, workload);
         let max_batch = MemoryBudget::for_gpu(self.system.gpu())
             .max_batch(&self.costs_of(&placement, workload));
-        let requested = self.policy.effective_batch();
+        let requested = policy.effective_batch();
         if requested > max_batch {
             return Err(HelmError::BatchTooLarge {
                 requested,
@@ -172,13 +174,14 @@ impl Server {
 
     fn inputs<'a>(
         &'a self,
+        policy: &'a Policy,
         placement: &'a ModelPlacement,
         workload: &'a WorkloadSpec,
     ) -> PipelineInputs<'a> {
         PipelineInputs {
             system: &self.system,
             model: &self.model,
-            policy: &self.policy,
+            policy,
             placement,
             workload,
         }
@@ -246,7 +249,7 @@ impl Server {
     /// GPU-resident cost breakdown for `workload`, using the
     /// effective (fallback-aware) placement.
     pub fn resident_costs(&self, workload: &WorkloadSpec) -> ResidentCosts {
-        self.costs_of(&self.effective(workload), workload)
+        self.costs_of(&self.effective(&self.policy, workload), workload)
     }
 
     /// The largest batch that fits GPU memory for `workload` — the
@@ -262,7 +265,7 @@ impl Server {
     /// [`HelmError::BatchTooLarge`] when the policy's batch exceeds
     /// what GPU memory allows for this workload.
     pub fn run(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        self.run_mode(workload, RecordMode::Full)
+        self.run_mode(&self.policy, workload, RecordMode::Full)
     }
 
     /// [`Server::run`] in [`RecordMode::Aggregate`]: the same
@@ -275,7 +278,24 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_aggregate(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        self.run_mode(workload, RecordMode::Aggregate)
+        self.run_mode(&self.policy, workload, RecordMode::Aggregate)
+    }
+
+    /// [`Server::run_aggregate`] at batch 1 (one micro-batch): online
+    /// calibration's single-request point. It runs on this server's
+    /// own placement through the same batch check, so HeLM's capacity
+    /// demotion is decided again at batch 1; no second [`Server`] or
+    /// placement is built.
+    ///
+    /// # Errors
+    ///
+    /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
+    pub(crate) fn run_aggregate_single(
+        &self,
+        workload: &WorkloadSpec,
+    ) -> Result<RunReport, HelmError> {
+        let policy = self.policy.clone().with_batch_size(1).with_gpu_batches(1);
+        self.run_mode(&policy, workload, RecordMode::Aggregate)
     }
 
     /// [`Server::run`] with span collection on: returns the report
@@ -287,14 +307,21 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_traced(&self, workload: &WorkloadSpec) -> Result<(RunReport, Trace), HelmError> {
-        let placement = self.checked_placement(workload)?;
-        let inputs = self.inputs(&placement, workload);
+        let placement = self.checked_placement(&self.policy, workload)?;
+        let inputs = self.inputs(&self.policy, &placement, workload);
         run_pipeline_traced(&inputs, &LayerCostTable::build(&inputs)?, RecordMode::Full)
     }
 
-    fn run_mode(&self, workload: &WorkloadSpec, mode: RecordMode) -> Result<RunReport, HelmError> {
-        let placement = self.checked_placement(workload)?;
-        let inputs = self.inputs(&placement, workload);
+    /// A validated run of this server's placement under `policy`, the
+    /// server's own or a batch variant of it.
+    fn run_mode(
+        &self,
+        policy: &Policy,
+        workload: &WorkloadSpec,
+        mode: RecordMode,
+    ) -> Result<RunReport, HelmError> {
+        let placement = self.checked_placement(policy, workload)?;
+        let inputs = self.inputs(policy, &placement, workload);
         run_pipeline_with(&inputs, &LayerCostTable::build(&inputs)?, mode)
     }
 
@@ -308,8 +335,8 @@ impl Server {
     ///
     /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
     pub fn run_des(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        let placement = self.checked_placement(workload)?;
-        crate::exec_des::run_pipeline_des(&self.inputs(&placement, workload))
+        let placement = self.checked_placement(&self.policy, workload)?;
+        crate::exec_des::run_pipeline_des(&self.inputs(&self.policy, &placement, workload))
     }
 
     /// Runs the pipeline without the GPU-memory batch check (the
@@ -323,7 +350,11 @@ impl Server {
     /// [`HelmError::TierUnavailable`] when the placement routes
     /// traffic through a tier the platform does not provide.
     pub fn run_unchecked(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        run_pipeline(&self.inputs(&self.effective(workload), workload))
+        run_pipeline(&self.inputs(
+            &self.policy,
+            &self.effective(&self.policy, workload),
+            workload,
+        ))
     }
 
     /// Searches per-kind GPU shares for the best placement under this

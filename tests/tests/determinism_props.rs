@@ -13,6 +13,12 @@
 //! CI runs this suite under `RAYON_NUM_THREADS` ∈ {1, 4}: the DES is
 //! single-threaded by design, but the matrix proves the ambient
 //! worker-pool size cannot reach its results either.
+//!
+//! Every test forces auditing on before its first run, so the ledgers
+//! are compared in release builds too, where auditing is otherwise
+//! off. The switch is process-wide and only turns on, so a test that
+//! set it after another test's first run would change that test's
+//! later reports; setting it first in every test rules that out.
 
 use helm_core::exec::{PipelineInputs, RecordMode};
 use helm_core::exec_des::run_pipeline_des;
@@ -34,10 +40,11 @@ const REPEATS: usize = 3;
 /// Renders the complete report — every field, including the audit
 /// ledgers — into a canonical byte string.
 fn report_bytes(inp: &PipelineInputs<'_>) -> String {
+    simaudit::force_enable();
     let report = run_pipeline_des(inp).expect("pipeline runs");
-    // Debug builds always audit; a silently missing ledger would make
-    // this test vacuous for the channel-conservation half.
-    assert!(report.audit.is_some(), "audit ledgers absent in debug run");
+    // A silently missing ledger would make this test vacuous for the
+    // channel-conservation half.
+    assert!(report.audit.is_some(), "audit ledgers absent");
     format!("{report:?}")
 }
 
@@ -97,6 +104,7 @@ fn des_reports_are_byte_identical_across_repeated_runs() {
 /// diff.
 #[test]
 fn cluster_reports_byte_identical_at_1e5_requests() {
+    simaudit::force_enable();
     let model = ModelConfig::opt_175b();
     let workload = WorkloadSpec::paper_default();
     let memory = HostMemoryConfig::nvdram();
@@ -128,7 +136,7 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
             let mut arrivals = PoissonArrivals::new(2.0, 97);
             let report = run_cluster_mix(groups, &workload, &mut arrivals, 100_000, spec)
                 .expect("cluster runs");
-            assert!(report.audit.is_some(), "audit ledgers absent in debug run");
+            assert!(report.audit.is_some(), "audit ledgers absent");
             format!("{report:?}")
         };
         assert_eq!(run(), run(), "repeated cluster run diverged ({record:?})");
@@ -143,6 +151,7 @@ fn cluster_reports_byte_identical_at_1e5_requests() {
 /// ride the separate channel.
 #[test]
 fn enabling_tracing_leaves_reports_bit_identical() {
+    simaudit::force_enable();
     let model = ModelConfig::opt_175b();
     let workload = WorkloadSpec::paper_default();
     let memory = HostMemoryConfig::nvdram();

@@ -53,6 +53,49 @@ fn policy_strategy() -> impl Strategy<Value = Policy> {
         })
 }
 
+/// Which constructor places a case's weights.
+#[derive(Debug, Clone, Copy)]
+enum Placer {
+    /// `ModelPlacement::compute`: every layer of one kind shares one
+    /// (cpu, disk) split.
+    Policy,
+    /// `compute_pinned_prefix`: the first blocks' layers stream
+    /// nothing and the rest stream everything, so layers of one kind
+    /// have different splits.
+    PinnedPrefix(usize),
+    /// `compute_custom` with these MHA and FFN GPU percentages.
+    Custom(f64, f64),
+}
+
+impl Placer {
+    fn place(self, model: &ModelConfig, policy: &Policy) -> ModelPlacement {
+        let compressed = policy.compressed();
+        match self {
+            Placer::Policy => ModelPlacement::compute(model, policy),
+            Placer::PinnedPrefix(blocks) => {
+                ModelPlacement::compute_pinned_prefix(model, compressed, blocks)
+            }
+            Placer::Custom(mha, ffn) => ModelPlacement::compute_custom(
+                model,
+                compressed,
+                [mha, 100.0 - mha, 0.0],
+                [ffn, 100.0 - ffn, 0.0],
+                [0.0, 100.0, 0.0],
+            ),
+        }
+    }
+}
+
+fn placer_strategy() -> impl Strategy<Value = Placer> {
+    (0u8..3, 0usize..=4, 0.0f64..=100.0, 0.0f64..=100.0).prop_map(|(sel, blocks, mha, ffn)| {
+        match sel {
+            0 => Placer::Policy,
+            1 => Placer::PinnedPrefix(blocks),
+            _ => Placer::Custom(mha, ffn),
+        }
+    })
+}
+
 fn memory_strategy() -> impl Strategy<Value = HostMemoryConfig> {
     (0u8..4).prop_map(|sel| match sel {
         0 => HostMemoryConfig::dram(),
@@ -111,16 +154,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The cost-table fast path reproduces the seed evaluator bit for
-    /// bit — aggregates *and* every per-step record.
+    /// bit — aggregates *and* every per-step record — on the policy's
+    /// own placements and on pinned-prefix and custom ones, where
+    /// layers of one kind can differ in their (cpu, disk) split.
     #[test]
     fn fast_path_matches_reference_bitwise(
         model in small_model(),
         policy in policy_strategy(),
         memory in memory_strategy(),
         gen_len in gen_len_strategy(),
+        placer in placer_strategy(),
     ) {
         let system = SystemConfig::paper_platform(memory);
-        let placement = ModelPlacement::compute(&model, &policy);
+        let placement = placer.place(&model, &policy);
         let workload = WorkloadSpec::new(32, gen_len, 1);
         let inp = inputs_for(&system, &model, &policy, &placement, &workload);
         let seed = run_pipeline_reference(&inp).unwrap();
