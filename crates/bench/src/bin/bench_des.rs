@@ -55,8 +55,8 @@ const EVENTS_PER_S_FLOOR: f64 = 100_000.0;
 /// Hard floor on `per-step / coalesced` wall time at the largest
 /// granularity-axis volume, measured on the continuous-batching mix
 /// where decode spans dominate the event count. The per-step
-/// reference pays one binary-heap round-trip and one boxed completion
-/// closure per step; coalescing replays the same steps in a tight
+/// reference pays one binary-heap push and pop of a typed completion
+/// event per step; coalescing replays the same steps in a tight
 /// loop. So the ratio falls when that reference gets cheaper, not
 /// only when the coalesced engine gets slower: compare both wall
 /// times before reading a miss as a coalescing regression.

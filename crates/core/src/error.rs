@@ -40,9 +40,8 @@ pub enum HelmError {
         /// Tier name ("gpu", "cpu", "disk").
         tier: &'static str,
     },
-    /// The discrete-event executor recorded a structural fault
-    /// (scheduling into the past, a queue-order violation, an
-    /// unregistered span).
+    /// The cluster engine's event loop hit a structural fault (an
+    /// event queued before the clock, or the queue handing one back).
     Simulation(SimError),
     /// A run or plan was asked for with degenerate inputs (an empty
     /// pipeline mix, a zero-request calibration probe) that admit no

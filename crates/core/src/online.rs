@@ -49,7 +49,7 @@ use crate::exec::RecordMode;
 use crate::server::Server;
 use crate::trace::{Attribution, RequestTrace, Trace};
 use simaudit::{AuditReport, Auditor};
-use simcore::engine::{Context, Simulator, SpanId};
+use simcore::queue::{EventQueue, SimError};
 use simcore::rng::SimRng;
 use simcore::stats::{Accumulator, Reservoir, SeriesStats};
 use simcore::time::{SimDuration, SimTime};
@@ -572,8 +572,8 @@ impl DeadlineAssigner {
 /// event-queue traffic differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepGranularity {
-    /// Every batch/step completion is its own priority-queue event —
-    /// the reference backend: one boxed closure scheduled and popped
+    /// Every batch/step completion is its own event in the engine's
+    /// queue — the reference engine: one `(time, seq)` push and pop
     /// per decode step of every replica.
     PerStep,
     /// Macro-stepping (the default): between *epochs* where the
@@ -815,9 +815,9 @@ pub struct ClusterReport {
     /// Served requests that met their deadline (requests without a
     /// deadline count as met).
     pub met: u64,
-    /// Simulator events fired during the run (arrivals plus
-    /// batch/step completions) — the denominator of events/s
-    /// scheduler benchmarks.
+    /// Logical events processed during the run (arrivals plus
+    /// batch/step completions), equal across granularities — the
+    /// denominator of events/s scheduler benchmarks.
     pub events: u64,
     /// Wall-clock span from first arrival to last completion.
     pub makespan: SimDuration,
@@ -1039,8 +1039,8 @@ struct Pipe {
     /// Continuous mode only.
     active: Vec<(Req, usize)>,
     /// Members of the in-flight run-to-completion batch. Held in pipe
-    /// state (rather than captured in the completion closure) so both
-    /// granularities share one completion routine.
+    /// state (not in the completion event) so both granularities share
+    /// one completion routine.
     members: Vec<Req>,
     /// Modeled instant the in-flight batch/step completes — the base
     /// of finish-time estimates for dispatch and admission.
@@ -1080,6 +1080,17 @@ impl Pipe {
     fn load(&self) -> usize {
         self.queue.len() + self.in_flight + self.active.len()
     }
+}
+
+/// What the cluster engine queues.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// Arrival `i`: its request, and the virtual sequence number that
+    /// bounds its coalesced drain.
+    Arrival { i: usize, req: Req, vseq: u64 },
+    /// Pipe `p`'s batch/step completion, queued under
+    /// [`StepGranularity::PerStep`] only.
+    Completion(usize),
 }
 
 struct ClusterSt {
@@ -1124,18 +1135,13 @@ struct ClusterSt {
     next_vseq: u64,
     /// Logical events processed (arrivals plus batch/step
     /// completions) — identical across granularities by construction,
-    /// and equal to the simulator's fired-event count in per-step
-    /// mode.
+    /// and equal to the events the loop pops in per-step mode.
     events: u64,
-    /// Payload of the single pending arrival: its index, request, and
-    /// virtual sequence number (the arrival chain is a registered
-    /// span, so the payload lives in state, not in a boxed closure).
-    arrival_pending: Option<(usize, Req, u64)>,
-    /// The registered arrival-chain span.
-    arrival_span: Option<SpanId>,
-    /// The registered end-of-traffic drain span (coalesced mode):
-    /// armed by the last arrival to replay every remaining boundary.
-    drain_span: Option<SpanId>,
+    /// The loop's clock: the instant of the event being fired.
+    now: SimTime,
+    /// Pending events: the next arrival and, in per-step mode, each
+    /// busy pipe's completion.
+    queue: EventQueue<Event>,
 }
 
 fn req_channel(p: usize) -> String {
@@ -1559,30 +1565,39 @@ fn arm_boundary(st: &mut ClusterSt, p: usize, now: SimTime) {
     }
 }
 
-/// Per-step mode: a batch/step completion event.
-fn complete_pipe(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, p: usize) {
-    let done = ctx.now();
-    if complete_work(st, p, done) {
-        start_pipe(ctx, st, p);
+/// Queues `event` at `at`. An instant before the clock is a
+/// structural fault, and the run stops with it.
+fn schedule(st: &mut ClusterSt, at: SimTime, event: Event) -> Result<(), SimError> {
+    if at < st.now {
+        return Err(SimError::ScheduledIntoPast { at, now: st.now });
     }
+    st.queue.push(at, event);
+    Ok(())
+}
+
+/// Per-step mode: `p`'s batch/step completion event.
+fn complete_pipe(st: &mut ClusterSt, p: usize) -> Result<(), SimError> {
+    if complete_work(st, p, st.now) {
+        start_pipe(st, p)?;
+    }
+    Ok(())
 }
 
 /// Kicks `p` when it is idle with work queued: one run-to-completion
-/// batch or one continuous step. Per-step granularity schedules the
-/// completion as its own queue event; coalesced granularity parks it
-/// as a state-held boundary for the next epoch's drain.
-fn start_pipe(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, p: usize) {
-    let now = ctx.now();
+/// batch or one continuous step. Per-step granularity queues the
+/// completion as its own event; coalesced granularity parks it as a
+/// state-held boundary for the next epoch's drain.
+fn start_pipe(st: &mut ClusterSt, p: usize) -> Result<(), SimError> {
+    let now = st.now;
     match st.granularity {
         StepGranularity::PerStep => {
             if let Some(done) = start_work(st, p, now) {
-                ctx.schedule_at(done, move |ctx, st: &mut ClusterSt| {
-                    complete_pipe(ctx, st, p);
-                });
+                schedule(st, done, Event::Completion(p))?;
             }
         }
         StepGranularity::Coalesced => arm_boundary(st, p, now),
     }
+    Ok(())
 }
 
 /// The coalesced macro-step: replays every pending boundary whose
@@ -1759,21 +1774,17 @@ fn calibrate_groups(
         .collect()
 }
 
-/// One arrival landing in the cluster (the registered arrival-span
-/// handler, shared by both granularities): in coalesced mode first
-/// replay every batch/step boundary ordered before this arrival's
-/// `(time, vseq)` key, then dispatch, ledger, admission, queue, kick
-/// the pipe if idle — and schedule the successor in the lazy arrival
-/// chain.
-fn fire_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt) {
-    let Some((i, req, vseq)) = st.arrival_pending.take() else {
-        return;
-    };
+/// Arrival `i` landing in the cluster, in either granularity: in
+/// coalesced mode first replay every batch/step boundary ordered
+/// before this arrival's `(time, vseq)` key, then dispatch, ledger,
+/// admission, queue, kick the pipe if idle — and queue the successor
+/// in the lazy arrival chain.
+fn fire_arrival(st: &mut ClusterSt, i: usize, req: Req, vseq: u64) -> Result<(), HelmError> {
     if st.granularity == StepGranularity::Coalesced {
         drain_boundaries(st, Some((req.at, vseq)));
     }
     st.events += 1;
-    let now = ctx.now();
+    let now = st.now;
     let p = dispatch(st, i, req.deadline, now);
     st.audit.observe_time("cluster", now);
     st.audit.enqueued(&st.channels[p], 1);
@@ -1783,50 +1794,71 @@ fn fire_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt) {
     } else {
         push_request(st, p, req);
         if st.pipes[p].idle {
-            start_pipe(ctx, st, p);
+            start_pipe(st, p)?;
         }
     }
-    schedule_next_arrival(ctx, st, i + 1);
+    schedule_next_arrival(st, i + 1)
 }
 
-/// Draws arrival `i`'s instant and deadline and arms the arrival span
-/// for it. Exactly one arrival is ever pending — the chain replaces
-/// the seed code's up-front loop that boxed one closure per request
-/// before the simulation started, which at a million requests
-/// dominated both allocation and peak queue population. The virtual
-/// sequence number is drawn here, at the same program point the
-/// per-step backend sequences its queue pushes, so arrival keys and
-/// boundary keys interleave identically across granularities. When
-/// the stream is exhausted, coalesced mode arms the terminal drain
-/// span at the earliest outstanding boundary so every in-flight
-/// batch/step still completes.
-fn schedule_next_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, i: usize) {
+/// Draws arrival `i`'s instant and deadline and queues it. Exactly
+/// one arrival is ever pending — the chain replaces the seed code's
+/// up-front loop that boxed one closure per request before the
+/// simulation started, which at a million requests dominated both
+/// allocation and peak queue population. The virtual sequence number
+/// is drawn here, at the same program point the per-step engine
+/// sequences its queue pushes, so arrival keys and boundary keys
+/// interleave identically across granularities.
+///
+/// # Errors
+///
+/// Returns [`HelmError::InvalidConfig`] when the instant is not
+/// finite: the arrival rate is so small that the arrival would never
+/// fire.
+fn schedule_next_arrival(st: &mut ClusterSt, i: usize) -> Result<(), HelmError> {
     if st.remaining == 0 {
-        if st.granularity == StepGranularity::Coalesced {
-            let earliest = st.pipes.iter().filter_map(|pipe| pipe.boundary).min();
-            if let (Some((at, _)), Some(span)) = (earliest, st.drain_span) {
-                ctx.schedule_span_at(at, span);
-            }
-        }
-        return;
+        return Ok(());
     }
     st.remaining -= 1;
     let at = st.arrivals.next_arrival();
+    if !at.as_secs().is_finite() {
+        return Err(HelmError::InvalidConfig(
+            "arrival rate too small: an arrival instant overflows to infinity",
+        ));
+    }
     let deadline = st.deadliner.next(at);
     let vseq = st.next_vseq;
     st.next_vseq += 1;
-    st.arrival_pending = Some((
-        i,
-        Req {
-            at,
-            admitted: at,
-            deadline,
-        },
-        vseq,
-    ));
-    if let Some(span) = st.arrival_span {
-        ctx.schedule_span_at(at, span);
+    let req = Req {
+        at,
+        admitted: at,
+        deadline,
+    };
+    Ok(schedule(st, at, Event::Arrival { i, req, vseq })?)
+}
+
+/// The cluster engine's event loop: pops every queued event in
+/// `(time, seq)` order and fires it, then replays the boundaries
+/// still in flight after the last arrival (the coalesced
+/// end-of-traffic drain; per-step runs have none left).
+///
+/// # Errors
+///
+/// Stops at the first fault: [`SimError::ClockWentBackwards`] if the
+/// queue hands back an event before the clock, or whatever a handler
+/// returns.
+fn run_events(st: &mut ClusterSt) -> Result<(), HelmError> {
+    while let Some((at, event)) = st.queue.pop() {
+        if at < st.now {
+            return Err(SimError::ClockWentBackwards { at, now: st.now }.into());
+        }
+        st.now = at;
+        match event {
+            Event::Arrival { i, req, vseq } => fire_arrival(st, i, req, vseq)?,
+            Event::Completion(p) => complete_pipe(st, p)?,
+        }
     }
+    drain_boundaries(st, None);
+    Ok(())
 }
 
 /// The one cluster simulation behind every entry point: `count`
@@ -1839,7 +1871,8 @@ fn schedule_next_arrival(ctx: &mut Context<ClusterSt>, st: &mut ClusterSt, i: us
 /// # Errors
 ///
 /// Returns [`HelmError::InvalidConfig`] when the groups contribute no
-/// pipeline at all, and propagates simulator faults.
+/// pipeline at all or an arrival instant overflows, and
+/// [`HelmError::Simulation`] on an event-loop fault.
 pub(crate) fn run_models(
     groups: Vec<(ServiceModel, usize)>,
     workload: &WorkloadSpec,
@@ -1869,7 +1902,7 @@ pub(crate) fn run_models(
             LatencyStats::sampled(SimRng::from_seed_and_stream(0, "cluster-e2e")),
         ),
     };
-    let mut sim = Simulator::new(ClusterSt {
+    let mut st = ClusterSt {
         pipes,
         models,
         continuous: spec.continuous,
@@ -1893,58 +1926,17 @@ pub(crate) fn run_models(
         channels: (0..n).map(req_channel).collect(),
         next_vseq: 0,
         events: 0,
-        arrival_pending: None,
-        arrival_span: None,
-        drain_span: None,
-    });
-    // Both granularities route arrivals through one registered span
-    // (no per-arrival closure allocation); coalesced mode adds the
-    // terminal drain span that flushes in-flight work after the last
-    // arrival.
-    let arrival_span = sim.register_span(fire_arrival);
-    let drain_span = sim.register_span(|_, st: &mut ClusterSt| drain_boundaries(st, None));
-    // Seed the lazy chain with arrival 0; each arrival schedules its
-    // successor.
-    let first = {
-        let st = sim.state_mut();
-        st.arrival_span = Some(arrival_span);
-        st.drain_span = Some(drain_span);
-        if st.remaining > 0 {
-            st.remaining -= 1;
-            let at = st.arrivals.next_arrival();
-            let deadline = st.deadliner.next(at);
-            let vseq = st.next_vseq;
-            st.next_vseq += 1;
-            st.arrival_pending = Some((
-                0,
-                Req {
-                    at,
-                    admitted: at,
-                    deadline,
-                },
-                vseq,
-            ));
-            Some(at)
-        } else {
-            None
-        }
+        now: SimTime::ZERO,
+        queue: EventQueue::new(),
     };
-    let first_arrival = first.unwrap_or(SimTime::ZERO);
-    if let Some(at) = first {
-        sim.schedule_span_at(at, arrival_span);
-    }
-    sim.run_until(SimTime::from_secs(f64::MAX));
-    let fired = sim.events_fired();
-    let mut st = sim.run_checked()?;
+    // Seed the lazy chain with arrival 0; each arrival queues its
+    // successor.
+    schedule_next_arrival(&mut st, 0)?;
+    let first_arrival = st.queue.peek_time().unwrap_or(SimTime::ZERO);
+    run_events(&mut st)?;
     if let (Some(out), Some(collected)) = (trace_out, st.trace.take()) {
         *out = collected;
     }
-    // `events` is a logical count (arrivals + batch/step completions)
-    // so reports compare byte-for-byte across granularities; in
-    // per-step mode every logical event is its own queue event, and
-    // the two tallies must agree exactly.
-    debug_assert!(st.granularity == StepGranularity::Coalesced || st.events == fired);
-    let events = st.events;
     // Hand the advanced process back: successive cluster runs continue
     // the arrival stream exactly as successive `take` calls would.
     *arrivals = st.arrivals.clone();
@@ -1985,7 +1977,7 @@ pub(crate) fn run_models(
         expired,
         slo_violations: st.slo_violations,
         met: st.met,
-        events,
+        events: st.events,
         makespan,
         queue_delay: st.queue_delay,
         e2e_latency: st.e2e,
@@ -2648,9 +2640,8 @@ mod tests {
             granularity: StepGranularity::default(),
             next_vseq: 0,
             events: 0,
-            arrival_pending: None,
-            arrival_span: None,
-            drain_span: None,
+            now: SimTime::ZERO,
+            queue: EventQueue::new(),
         };
         let t = SimTime::from_secs;
         let req = |at: f64, d: Option<f64>| Req {
@@ -2711,10 +2702,25 @@ mod tests {
             granularity,
             next_vseq: 0,
             events: 0,
-            arrival_pending: None,
-            arrival_span: None,
-            drain_span: None,
+            now: SimTime::ZERO,
+            queue: EventQueue::new(),
         }
+    }
+
+    /// Ledgers and queues a request arriving at `at` seconds on the
+    /// toy cluster's one pipe, as an admitted arrival would.
+    fn enqueue(st: &mut ClusterSt, at: f64, deadline: Option<f64>) {
+        let t = SimTime::from_secs;
+        st.audit.enqueued(&st.channels[0], 1);
+        push_request(
+            st,
+            0,
+            Req {
+                at: t(at),
+                admitted: t(at),
+                deadline: deadline.map(t),
+            },
+        );
     }
 
     #[test]
@@ -2727,43 +2733,16 @@ mod tests {
         simaudit::force_enable();
         let run = |granularity| {
             let t = SimTime::from_secs;
-            let mut sim = Simulator::new(toy_cluster(granularity, SchedulerKind::DeadlineAware));
-            let drain = sim.register_span(|_, st: &mut ClusterSt| drain_boundaries(st, None));
-            sim.state_mut().drain_span = Some(drain);
-            sim.schedule_at(t(0.0), move |ctx, st: &mut ClusterSt| {
-                st.audit.enqueued(&st.channels[0], 1);
-                push_request(
-                    st,
-                    0,
-                    Req {
-                        at: t(0.0),
-                        admitted: t(0.0),
-                        deadline: Some(t(100.0)),
-                    },
-                );
-                start_pipe(ctx, st, 0);
-            });
-            sim.schedule_at(t(1.0), move |ctx, st: &mut ClusterSt| {
-                st.audit.enqueued(&st.channels[0], 1);
-                push_request(
-                    st,
-                    0,
-                    Req {
-                        at: t(1.0),
-                        admitted: t(1.0),
-                        deadline: Some(t(5.0)),
-                    },
-                );
-                // The span is in flight and outlives the deadline:
-                // the shed decision can only happen at its boundary.
-                assert!(!st.pipes[0].idle);
-                assert!(t(5.0) < st.pipes[0].free_at);
-                if st.granularity == StepGranularity::Coalesced {
-                    let (at, _) = st.pipes[0].boundary.expect("span armed");
-                    ctx.schedule_span_at(at, st.drain_span.expect("drain registered"));
-                }
-            });
-            let st = sim.run_checked().expect("no engine fault");
+            let mut st = toy_cluster(granularity, SchedulerKind::DeadlineAware);
+            enqueue(&mut st, 0.0, Some(100.0));
+            start_pipe(&mut st, 0).expect("t = 0");
+            st.now = t(1.0);
+            enqueue(&mut st, 1.0, Some(5.0));
+            // The span is in flight and outlives the deadline: the
+            // shed decision can only happen at its boundary.
+            assert!(!st.pipes[0].idle);
+            assert!(t(5.0) < st.pipes[0].free_at);
+            run_events(&mut st).expect("no engine fault");
             assert_eq!(st.pipes[0].served, 1);
             assert_eq!(st.pipes[0].expired, 1);
             assert_eq!(st.met, 1);
@@ -2791,58 +2770,41 @@ mod tests {
         simaudit::force_enable();
         let run = |granularity| {
             let t = SimTime::from_secs;
-            let mut sim =
-                Simulator::new(toy_cluster(granularity, SchedulerKind::JoinShortestQueue));
-            let drain = sim.register_span(|_, st: &mut ClusterSt| drain_boundaries(st, None));
-            sim.state_mut().drain_span = Some(drain);
-            sim.schedule_at(t(0.0), move |ctx, st: &mut ClusterSt| {
-                st.audit.enqueued(&st.channels[0], 1);
-                push_request(
-                    st,
-                    0,
-                    Req {
-                        at: t(0.0),
-                        admitted: t(0.0),
-                        deadline: None,
-                    },
-                );
-                // Arms the span [0, 10] — per-step as a queue event,
-                // coalesced as the boundary key (10, vseq 0).
-                start_pipe(ctx, st, 0);
-                // Mimic the arrival chain for an arrival at exactly
-                // t = 10: its vseq is drawn *after* the span was
-                // armed, precisely where schedule_next_arrival draws
-                // it, so the boundary precedes it in (time, seq)
-                // order.
-                let vseq = st.next_vseq;
-                st.next_vseq += 1;
-                ctx.schedule_at(t(10.0), move |ctx, st: &mut ClusterSt| {
-                    if st.granularity == StepGranularity::Coalesced {
-                        drain_boundaries(st, Some((t(10.0), vseq)));
-                    }
-                    assert!(
-                        st.pipes[0].idle,
-                        "the tied completion must order before the arrival"
-                    );
-                    assert_eq!(st.pipes[0].served, 1);
-                    st.audit.enqueued(&st.channels[0], 1);
-                    push_request(
-                        st,
-                        0,
-                        Req {
-                            at: t(10.0),
-                            admitted: t(10.0),
-                            deadline: None,
-                        },
-                    );
-                    start_pipe(ctx, st, 0);
-                    if st.granularity == StepGranularity::Coalesced {
-                        let (at, _) = st.pipes[0].boundary.expect("second span armed");
-                        ctx.schedule_span_at(at, st.drain_span.expect("drain registered"));
-                    }
-                });
-            });
-            let st = sim.run_checked().expect("no engine fault");
+            let mut st = toy_cluster(granularity, SchedulerKind::JoinShortestQueue);
+            enqueue(&mut st, 0.0, None);
+            // Arms the span [0, 10] — per-step as a queue event,
+            // coalesced as the boundary key (10, vseq 0).
+            start_pipe(&mut st, 0).expect("t = 0");
+            // Mimic the arrival chain for an arrival at exactly
+            // t = 10: its vseq is drawn *after* the span was armed,
+            // precisely where schedule_next_arrival draws it, so the
+            // boundary precedes it in (time, seq) order.
+            let vseq = st.next_vseq;
+            st.next_vseq += 1;
+            // What the loop does before that arrival fires: per-step
+            // pops the completion queued ahead of it, coalesced drains
+            // the boundaries keyed below it.
+            match granularity {
+                StepGranularity::PerStep => {
+                    let (at, event) = st.queue.pop().expect("completion queued");
+                    assert!(matches!(event, Event::Completion(0)));
+                    st.now = at;
+                    complete_pipe(&mut st, 0).expect("t = 10");
+                }
+                StepGranularity::Coalesced => {
+                    st.now = t(10.0);
+                    drain_boundaries(&mut st, Some((t(10.0), vseq)));
+                }
+            }
+            assert_eq!(st.now, t(10.0));
+            assert!(
+                st.pipes[0].idle,
+                "the tied completion must order before the arrival"
+            );
+            assert_eq!(st.pipes[0].served, 1);
+            enqueue(&mut st, 10.0, None);
+            start_pipe(&mut st, 0).expect("t = 10");
+            run_events(&mut st).expect("no engine fault");
             assert_eq!(st.pipes[0].served, 2);
             assert_eq!(st.last_completion, t(20.0));
             let audit = st.audit.finish();
@@ -2863,6 +2825,93 @@ mod tests {
             "no queueing on either side of the tick"
         );
         assert_eq!(step, run(StepGranularity::Coalesced));
+    }
+
+    /// Runs the toy cluster into a fault: one request is in flight
+    /// over [0, 10] when an arrival at t = 5 draws its successor from
+    /// a Poisson clock left behind at t = 0, so the handler queues an
+    /// event before the clock.
+    fn run_into_the_past(granularity: StepGranularity) -> (ClusterSt, HelmError) {
+        let t = SimTime::from_secs;
+        let mut st = toy_cluster(granularity, SchedulerKind::RoundRobin);
+        st.arrivals = PoissonArrivals::new(1000.0, 0);
+        st.remaining = 1;
+        enqueue(&mut st, 0.0, None);
+        start_pipe(&mut st, 0).expect("t = 0");
+        let req = Req {
+            at: t(5.0),
+            admitted: t(5.0),
+            deadline: None,
+        };
+        let vseq = st.next_vseq;
+        st.queue.push(t(5.0), Event::Arrival { i: 1, req, vseq });
+        let err = run_events(&mut st).unwrap_err();
+        (st, err)
+    }
+
+    #[test]
+    fn scheduling_into_past_is_a_typed_fault() {
+        // The run stops at the arrival with a typed fault: the batch
+        // completion queued for t = 10 never fires.
+        let t = SimTime::from_secs;
+        let (mut st, err) = run_into_the_past(StepGranularity::PerStep);
+        match err {
+            HelmError::Simulation(SimError::ScheduledIntoPast { at, now }) => {
+                assert!(at < t(5.0));
+                assert_eq!(now, t(5.0));
+            }
+            other => panic!("expected ScheduledIntoPast, got {other:?}"),
+        }
+        assert!(err.to_string().contains("into the past"));
+        assert_eq!(st.pipes[0].served, 0, "no event after the fault fires");
+        assert_eq!(st.queue.peek_time(), Some(t(10.0)));
+
+        // A queue handing back an event before the clock is the other
+        // structural fault.
+        st.queue.push(t(1.0), Event::Completion(0));
+        assert!(matches!(
+            run_events(&mut st),
+            Err(HelmError::Simulation(SimError::ClockWentBackwards { .. }))
+        ));
+    }
+
+    #[test]
+    fn faulted_run_stays_stopped() {
+        // After the fault nothing else fires in either granularity:
+        // the clock stays at the faulting arrival, the one request in
+        // flight is never served, and its completion stays pending —
+        // queued under per-step, parked as a boundary under coalesced,
+        // because the end-of-traffic drain does not run either.
+        let t = SimTime::from_secs;
+        for granularity in [StepGranularity::PerStep, StepGranularity::Coalesced] {
+            let (st, err) = run_into_the_past(granularity);
+            assert!(
+                matches!(
+                    err,
+                    HelmError::Simulation(SimError::ScheduledIntoPast { .. })
+                ),
+                "{granularity:?}: {err:?}"
+            );
+            assert_eq!(st.now, t(5.0), "{granularity:?}");
+            assert_eq!(st.events, 1, "{granularity:?}: only the arrival fired");
+            assert_eq!(st.pipes[0].served, 0, "{granularity:?}");
+            assert_eq!(
+                st.batch_sizes,
+                vec![1],
+                "{granularity:?}: only the t = 0 batch"
+            );
+            assert_eq!(st.last_completion, SimTime::ZERO, "{granularity:?}");
+            match granularity {
+                StepGranularity::PerStep => {
+                    assert_eq!(st.queue.peek_time(), Some(t(10.0)));
+                    assert!(st.pipes[0].boundary.is_none());
+                }
+                StepGranularity::Coalesced => {
+                    assert_eq!(st.queue.peek_time(), None);
+                    assert_eq!(st.pipes[0].boundary.map(|(at, _)| at), Some(t(10.0)));
+                }
+            }
+        }
     }
 
     #[test]

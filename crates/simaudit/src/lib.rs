@@ -7,8 +7,8 @@
 //! * **byte conservation** — every byte scheduled on a transfer path
 //!   is eventually delivered or explicitly dropped ([`ByteLedger`]);
 //! * **time monotonicity** — simulated clocks never run backwards
-//!   ([`Auditor::observe_time`], plus the engine-level check in
-//!   [`simcore::engine`]);
+//!   ([`Auditor::observe_time`], plus the event-loop check that
+//!   reports [`simcore::SimError`]);
 //! * **unit sanity** — durations and bandwidths stay finite and
 //!   non-negative ([`Auditor::check_duration`],
 //!   [`Auditor::check_bandwidth`]);

@@ -1,4 +1,4 @@
-//! # simcore — discrete-event simulation engine
+//! # simcore — discrete-event simulation primitives
 //!
 //! Foundation crate for the `helmsim` workspace. It provides the
 //! building blocks every other crate in the workspace composes into the
@@ -7,8 +7,8 @@
 //! * [`SimTime`] / [`SimDuration`] — simulated wall-clock time with
 //!   total ordering and convenient unit constructors.
 //! * [`EventQueue`] — a deterministic binary-heap priority queue of
-//!   timestamped events (FIFO among equal timestamps).
-//! * [`Simulator`] — a closure-driven discrete-event executor.
+//!   timestamped events (FIFO among equal timestamps), and the
+//!   [`SimError`] faults a loop driving it reports.
 //! * [`FlowScheduler`] — an analytic processor-sharing model of a
 //!   bandwidth-limited resource (a PCIe link, a memory channel) serving
 //!   concurrent flows.
@@ -18,20 +18,26 @@
 //!
 //! # Examples
 //!
-//! Run two events in timestamp order:
+//! Drive a small event loop: an event may queue follow-ups, and the
+//! queue pops everything in `(time, seq)` order:
 //!
 //! ```
-//! use simcore::{Simulator, SimDuration};
+//! use simcore::{EventQueue, SimDuration, SimTime};
 //!
-//! let mut sim = Simulator::new(Vec::<&str>::new());
-//! sim.schedule_in(SimDuration::from_millis(2.0), |_, log: &mut Vec<&str>| log.push("second"));
-//! sim.schedule_in(SimDuration::from_millis(1.0), |_, log: &mut Vec<&str>| log.push("first"));
-//! let log = sim.run();
-//! assert_eq!(log, vec!["first", "second"]);
+//! let mut queue = EventQueue::new();
+//! queue.push(SimTime::from_secs(2.0), "second");
+//! queue.push(SimTime::from_secs(1.0), "first");
+//! let mut log = Vec::new();
+//! while let Some((now, event)) = queue.pop() {
+//!     log.push(event);
+//!     if event == "first" {
+//!         queue.push(now + SimDuration::from_millis(500.0), "follow-up");
+//!     }
+//! }
+//! assert_eq!(log, vec!["first", "follow-up", "second"]);
 //! ```
 
 pub mod audit;
-pub mod engine;
 pub mod flow;
 pub mod queue;
 pub mod rng;
@@ -40,9 +46,8 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use engine::{SimError, Simulator, SpanId};
 pub use flow::{FlowId, FlowScheduler};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, SimError};
 pub use stats::{Accumulator, Reservoir, SeriesStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{NestingError, TraceSpan};

@@ -1,22 +1,66 @@
-//! Deterministic event queue.
+//! Deterministic event queue, and the faults of a loop that drives it.
 //!
 //! Orders entries by `(time, sequence)` so events scheduled for the
 //! same instant pop in insertion order. Determinism matters: the whole
 //! workspace relies on bit-identical replays for regression tests.
 //!
 //! The queue is a `BinaryHeap` over that key, O(log n) per operation.
-//! It never holds much: the cluster engine draws arrivals lazily and
-//! replays batch/step completions outside the queue, so a coalesced
-//! run keeps at most one pending event and a per-step run at most one
-//! per pipeline plus the next arrival (DESIGN.md §9). Because
-//! `(time, seq)` is a total order with unique `seq`, any correct
-//! priority queue pops the same sequence;
+//! Its one user is the cluster engine's event loop in
+//! `helm_core::online`, and it never holds much: arrivals are drawn
+//! lazily and coalesced batch/step completions stay in pipe state, so
+//! a coalesced run keeps at most one pending event and a per-step run
+//! at most one per pipeline plus the next arrival (DESIGN.md §9).
+//! Because `(time, seq)` is a total order with unique `seq`, any
+//! correct priority queue pops the same sequence;
 //! `tests/tests/scheduler_props.rs` checks this one against a
 //! brute-force model of that order.
+//!
+//! The queue only orders. The loop keeps the clock, and reports broken
+//! causality as a [`SimError`] instead of panicking.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
+
+/// A structural fault of an event loop driving an [`EventQueue`].
+///
+/// These are loop invariants, not domain errors: either one means an
+/// event handler (or the queue itself) broke causality. The loop stops
+/// at the first one and returns it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SimError {
+    /// An event was queued at an instant before the current clock.
+    ScheduledIntoPast {
+        /// The requested (past) instant.
+        at: SimTime,
+        /// The clock when the event was queued.
+        now: SimTime,
+    },
+    /// The queue handed back an event timestamped before the clock —
+    /// a broken queue-order invariant.
+    ClockWentBackwards {
+        /// The popped event's timestamp.
+        at: SimTime,
+        /// The clock it fell behind.
+        now: SimTime,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::ScheduledIntoPast { at, now } => {
+                write!(f, "event scheduled into the past: {at} < now {now}")
+            }
+            SimError::ClockWentBackwards { at, now } => {
+                write!(f, "event queue went backwards: {at} < now {now}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
 
 /// A timestamped FIFO-stable priority queue of events.
 ///
@@ -89,30 +133,9 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Removes and returns the earliest event if it fires at or before
-    /// `horizon`; leaves the queue untouched otherwise. One call
-    /// replaces the peek-then-pop pair in the executor's hot loop.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= horizon {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -157,29 +180,14 @@ mod tests {
         q.push(t(4.0), ());
         assert_eq!(q.peek_time(), Some(t(4.0)));
         assert_eq!(q.pop().unwrap().0, t(4.0));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(t(5.0)));
     }
 
     #[test]
     fn empty_queue_behaviour() {
         let mut q = EventQueue::<()>::default();
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
-        assert!(q.pop_before(t(f64::MAX)).is_none());
-    }
-
-    #[test]
-    fn pop_before_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.push(t(1.0), "a");
-        q.push(t(3.0), "b");
-        assert_eq!(q.pop_before(t(2.0)).map(|(_, e)| e), Some("a"));
-        assert_eq!(q.pop_before(t(2.0)), None);
-        assert_eq!(q.len(), 1, "refused pop must not consume");
-        assert_eq!(q.pop_before(t(3.0)).map(|(_, e)| e), Some("b"));
-        assert!(q.is_empty());
     }
 
     /// Events spread over thirty orders of magnitude, pushed out of
@@ -204,7 +212,6 @@ mod tests {
         for i in 0..n {
             q.push(t(f64::from(i % 97) * 0.5), i);
         }
-        assert_eq!(q.len(), n as usize);
         let mut last = (t(0.0), 0u32);
         let mut seen = 0;
         while let Some((time, e)) = q.pop() {

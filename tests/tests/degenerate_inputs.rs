@@ -207,6 +207,41 @@ fn extreme_arrival_rates_give_honest_reports() {
     }
 }
 
+/// λ = 5e-324, the smallest positive `f64`, draws arrival instants
+/// past the largest finite one: they overflow to +∞ and could never
+/// fire. The cluster engine returns `InvalidConfig` for such a rate
+/// instead of a report that silently lost every request, and so does
+/// `plan`, whose probes run on that engine.
+#[test]
+fn arrival_instants_past_f64_are_a_typed_error() {
+    let lambda = 5e-324;
+    let server = small_server(4);
+    let workload = WorkloadSpec::paper_default();
+    for continuous in [false, true] {
+        for n in [1usize, 50] {
+            let spec = ClusterSpec::new(2).with_continuous(continuous);
+            let mut arrivals = PoissonArrivals::new(lambda, 11);
+            assert_invalid_config(
+                run_cluster(&server, &workload, &mut arrivals, n, spec),
+                &format!("continuous={continuous} n={n}"),
+            );
+        }
+    }
+    let traffic = TrafficSpec::new(lambda, 40, 7);
+    let space = PlanSpace::for_server(&server, &workload).expect("plan space");
+    assert_invalid_config(
+        plan(
+            &server,
+            &workload,
+            &traffic,
+            PlanTarget::attainment(0.8),
+            &space,
+            SearchBudget::default(),
+        ),
+        "plan",
+    );
+}
+
 /// A zero-capacity reservoir accepts (and discards) samples without
 /// panicking, and reports `None` percentiles rather than fabricating
 /// a number.
