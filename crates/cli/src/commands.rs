@@ -109,6 +109,20 @@ fn write_trace(path: &str, trace: &helm_core::trace::Trace, json: bool) -> Resul
     Ok(())
 }
 
+/// A size flag with a default. The library asserts that batch sizes
+/// and token counts are positive, so 0 is an error here.
+fn get_size<T>(args: &Args, flag: &str, default: T) -> Result<T, ArgError>
+where
+    T: std::str::FromStr + Copy + PartialEq + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let value = args.get_num(flag, default)?;
+    if value == T::from(0) {
+        return Err(ArgError(format!("--{flag} must be at least 1")));
+    }
+    Ok(value)
+}
+
 fn session(args: &Args) -> Result<Session, ArgError> {
     if args.get_bool("audit")? {
         // Auditing is a debug-build default; `--audit` extends it to
@@ -122,11 +136,11 @@ fn session(args: &Args) -> Result<Session, ArgError> {
         .with_placement(placement)
         .with_compression(args.get_bool("compress")?)
         .with_kv_offload(args.get_bool("kv-offload")?)
-        .with_batch_size(args.get_num("batch", 1u32)?)
-        .with_gpu_batches(args.get_num("gpu-batches", 1u32)?);
+        .with_batch_size(get_size(args, "batch", 1u32)?)
+        .with_gpu_batches(get_size(args, "gpu-batches", 1u32)?);
     let workload = WorkloadSpec::new(
-        args.get_num("prompt", 128usize)?,
-        args.get_num("gen", 21usize)?,
+        get_size(args, "prompt", 128usize)?,
+        get_size(args, "gen", 21usize)?,
         1,
     );
     let server = Server::new(SystemConfig::paper_platform(memory), model, policy)
@@ -1051,6 +1065,32 @@ mod tests {
         assert!(serve(&sched).unwrap_err().to_string().contains("scheduler"));
         let lambda = parse(&["--model", "opt-1.3b", "--memory", "dram", "--lambda", "-1"]);
         assert!(serve(&lambda).unwrap_err().to_string().contains("lambda"));
+    }
+
+    #[test]
+    fn size_flags_reject_zero() {
+        // Every command that builds a session, with each size flag at
+        // 0: an error that names the flag, not a library assert.
+        type Command = fn(&Args) -> Result<(), ArgError>;
+        let commands: [(&str, Command, &[&str]); 8] = [
+            ("serve", serve, &[]),
+            ("serve --pipelines", serve, &["--pipelines", "2"]),
+            ("plan", plan, &[]),
+            ("autoplace", autoplace, &[]),
+            ("maxbatch", maxbatch, &[]),
+            ("energy", energy, &[]),
+            ("explain", explain, &[]),
+            ("sweep", sweep, &[]),
+        ];
+        for (name, run, extra) in commands {
+            for flag in ["gen", "prompt", "batch", "gpu-batches"] {
+                let flag = format!("--{flag}");
+                let mut tokens = vec!["--model", "opt-1.3b", "--memory", "dram", &flag, "0"];
+                tokens.extend_from_slice(extra);
+                let err = run(&parse(&tokens)).unwrap_err().to_string();
+                assert_eq!(err, format!("{flag} must be at least 1"), "{name}");
+            }
+        }
     }
 
     #[test]

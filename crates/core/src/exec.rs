@@ -8,9 +8,12 @@
 //! sync()
 //! ```
 //!
-//! Each step therefore costs `max(compute_j, load_{j+1})` plus a sync
-//! overhead, and the longer-running side of the pipeline sets the
-//! inference latency — the imbalance the paper's §V diagnoses. When a
+//! Each step therefore costs `max(compute_j, load_{j+1}, writeback_j)`
+//! plus a sync overhead, and the longer-running side of the pipeline
+//! sets the inference latency — the imbalance the paper's §V
+//! diagnoses. Under KV offloading, `load_{j+1}` also carries the next
+//! MHA layer's cache, and `writeback_j` is the write-back of an MHA
+//! layer's new cache entries; otherwise `writeback_j` is zero. When a
 //! layer's offloaded weights straddle the host and storage tiers, the
 //! two transfers share the PCIe link ([`xfer::CappedLink`]) with
 //! per-tier rate caps.
@@ -145,10 +148,15 @@ pub(crate) struct WritebackCost {
 /// model config, so every layer of one kind in a placement has one
 /// shape. [`load_time`] is priced once per distinct (cpu bytes, disk
 /// bytes) split, the only part of the layer it reads. Earlier prices
-/// are found among the entries already built, with no side map.
+/// are found among the entries already built, with no side map. The
+/// executors price each kind's compute, through the first layer of
+/// that kind, and the KV stream into an MHA layer once per token.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
     layers: Vec<LayerCosts>,
+    /// The first layer of each [`LayerKind`], by [`kind_slot`]; `None`
+    /// for a kind the placement has no layer of.
+    kind_layer: [Option<usize>; KINDS],
     /// `[prefill, decode]` write-back costs; `None` without
     /// `kv_offload`.
     writeback: Option<[WritebackCost; 2]>,
@@ -174,6 +182,32 @@ struct LayerCosts {
     decode_compute: DecodeCompute,
 }
 
+/// Number of [`LayerKind`]s.
+const KINDS: usize = 4;
+
+/// A layer kind's slot in per-kind arrays.
+fn kind_slot(kind: LayerKind) -> usize {
+    match kind {
+        LayerKind::InputEmbed => 0,
+        LayerKind::Mha => 1,
+        LayerKind::Ffn => 2,
+        LayerKind::OutputEmbed => 3,
+    }
+}
+
+/// The compute of one step of each layer kind at one (stage, token),
+/// micro-batch scaling included — what
+/// [`LayerCostTable::token_compute`] prices once per token.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TokenCompute([SimDuration; KINDS]);
+
+impl TokenCompute {
+    /// The compute of one step of a `kind` layer.
+    pub(crate) fn of(&self, kind: LayerKind) -> SimDuration {
+        self.0[kind_slot(kind)]
+    }
+}
+
 impl LayerCostTable {
     /// Precomputes the table for one run configuration.
     ///
@@ -191,6 +225,7 @@ impl LayerCostTable {
         let kv_per_token = llm::kv::kv_bytes_per_token_per_block(inp.model);
 
         let mut layers: Vec<LayerCosts> = Vec::with_capacity(placed.len());
+        let mut kind_layer = [None; KINDS];
         for lp in placed {
             let layer = lp.layer();
             let kind = layer.kind();
@@ -201,10 +236,13 @@ impl LayerCostTable {
             let (prefill_compute, decode_compute) =
                 match layers.iter().rev().find(|c| c.kind == kind) {
                     Some(c) => (c.prefill_compute, c.decode_compute),
-                    None => (
-                        compute_time(inp, layer, Stage::Prefill, 0),
-                        decode_compute(inp, layer),
-                    ),
+                    None => {
+                        kind_layer[kind_slot(kind)] = Some(layers.len());
+                        (
+                            compute_time(inp, layer, Stage::Prefill, 0),
+                            decode_compute(inp, layer),
+                        )
+                    }
                 };
             let load = match layers
                 .iter()
@@ -243,6 +281,7 @@ impl LayerCostTable {
 
         Ok(LayerCostTable {
             layers,
+            kind_layer,
             writeback,
             prompt_len: inp.workload.prompt_len,
             effective_batch,
@@ -280,13 +319,37 @@ impl LayerCostTable {
         self.cpu_ws
     }
 
-    /// KV bytes layer `j` streams for `context` positions — exactly
-    /// [`Layer::kv_read_bytes`] at the policy's effective batch.
-    pub(crate) fn kv_read_bytes(&self, j: usize, context: usize) -> ByteSize {
-        if self.layers[j].kind != LayerKind::Mha {
-            return ByteSize::ZERO;
+    /// The KV stream into an MHA layer at pipeline step (`stage`,
+    /// `token`) under `kv_offload`: its bytes — exactly
+    /// [`Layer::kv_read_bytes`] at the policy's effective batch — and
+    /// the rate they stream at. `None` when nothing streams: without
+    /// `kv_offload`, or at prefill, before any cache exists. Every MHA
+    /// layer streams the same cache at one token, so the executors
+    /// price it once per token.
+    pub(crate) fn kv_stream(
+        &self,
+        inp: &PipelineInputs<'_>,
+        stage: Stage,
+        token: usize,
+    ) -> Result<Option<(ByteSize, Bandwidth)>, HelmError> {
+        if !inp.policy.kv_offload() {
+            return Ok(None);
         }
-        ByteSize::from_bytes(u64::from(self.effective_batch) * context as u64 * self.kv_per_token)
+        let context = match stage {
+            Stage::Prefill => 0, // no cache yet at prefill
+            Stage::Decode => self.prompt_len + token,
+        };
+        let bytes = ByteSize::from_bytes(
+            u64::from(self.effective_batch) * context as u64 * self.kv_per_token,
+        );
+        if bytes == ByteSize::ZERO {
+            return Ok(None);
+        }
+        let rate = inp
+            .system
+            .kv_stream_bandwidth(bytes, Some(self.cpu_ws))
+            .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
+        Ok(Some((bytes, rate)))
     }
 
     /// GPU compute time of layer `j` at pipeline step (`stage`,
@@ -318,6 +381,28 @@ impl LayerCostTable {
                 }
             },
         }
+    }
+
+    /// The compute of one step of each layer kind at pipeline step
+    /// (`stage`, `token`) on `micro` GPU batches: what
+    /// [`LayerCostTable::compute_time`] times `micro` gives every layer
+    /// of that kind. Compute depends only on the kind, the stage and
+    /// the token, so the executors price it once per token.
+    pub(crate) fn token_compute(
+        &self,
+        gpu: &GpuSpec,
+        stage: Stage,
+        token: usize,
+        micro: u32,
+    ) -> TokenCompute {
+        // Micro-batching amortizes one weight load across several GPU
+        // batches (FlexGen's block schedule).
+        let micro = f64::from(micro);
+        TokenCompute(self.kind_layer.map(|j| {
+            j.map_or(SimDuration::ZERO, |j| {
+                self.compute_time(gpu, j, stage, token) * micro
+            })
+        }))
     }
 
     fn audit_weight_traffic(&self, audit: &mut Auditor, j: usize) {
@@ -476,7 +561,6 @@ fn run_pipeline_inner(
     let num_layers = table.num_layers();
     let gen_len = inp.workload.gen_len;
     let gpu = inp.system.gpu();
-    let cpu_ws = table.cpu_ws();
 
     // Sized from the actual step count — `records` holds one entry
     // per (token, layer) step; micro-batching scales compute, it does
@@ -538,6 +622,13 @@ fn run_pipeline_inner(
             });
             s.len() - 1
         });
+        // Compute and the KV stream depend only on the stage, the
+        // token and the layer's kind: priced once per token.
+        let kind_compute = table.token_compute(gpu, stage, token, micro);
+        let kv_in = table
+            .kv_stream(inp, stage, token)?
+            .map(|(bytes, rate)| (bytes, rate.time_for(bytes)));
+        let writeback_cost = table.writeback(stage);
         for j in 0..num_layers {
             let last_step = token + 1 == gen_len && j + 1 == num_layers;
             let next_index = (j + 1) % num_layers;
@@ -555,30 +646,15 @@ fn run_pipeline_inner(
             }
             // Under KV offloading, the next layer's cache streams in
             // alongside its weights and shares the same H2D budget.
-            if inp.policy.kv_offload() {
-                if let Some(LayerKind::Mha) = next_kind {
-                    let context = match stage {
-                        Stage::Prefill => 0, // no cache yet at prefill
-                        Stage::Decode => inp.workload.prompt_len + token,
-                    };
-                    let kv_in = table.kv_read_bytes(next_index, context);
-                    if kv_in > ByteSize::ZERO {
-                        load += inp
-                            .system
-                            .kv_stream_bandwidth(kv_in, Some(cpu_ws))
-                            .ok_or(HelmError::TierUnavailable { tier: "cpu" })?
-                            .time_for(kv_in);
-                        h2d += kv_in;
-                        audit.scheduled("h2d:kv", kv_in);
-                        audit.delivered("h2d:kv", kv_in);
-                    }
-                }
+            if let (Some(LayerKind::Mha), Some((kv_bytes, kv_time))) = (next_kind, kv_in) {
+                load += kv_time;
+                h2d += kv_bytes;
+                audit.scheduled("h2d:kv", kv_bytes);
+                audit.delivered("h2d:kv", kv_bytes);
             }
-            // Micro-batching amortizes one weight load across several
-            // GPU batches (FlexGen's block schedule).
-            let compute = table.compute_time(gpu, j, stage, token) * f64::from(micro);
+            let compute = kind_compute.of(table.kind(j));
             // KV write-back for the tokens this step produced.
-            let (writeback, d2h) = match table.writeback(stage) {
+            let (writeback, d2h) = match writeback_cost {
                 Some(wb) if table.kind(j) == LayerKind::Mha => (wb.time, wb.bytes),
                 _ => (SimDuration::ZERO, ByteSize::ZERO),
             };

@@ -52,7 +52,8 @@ pub fn run_pipeline_des(inp: &PipelineInputs<'_>) -> Result<RunReport, HelmError
 /// [`run_pipeline_des`] over a prebuilt [`LayerCostTable`] with an
 /// explicit [`RecordMode`]: compute and byte counts come from the
 /// table, the weight and write-back flows are priced once up front,
-/// and only the context-dependent KV inbound stream is priced live.
+/// and only the context-dependent KV inbound stream is priced live,
+/// once per token.
 ///
 /// # Errors
 ///
@@ -146,6 +147,21 @@ pub fn run_pipeline_des_with(
             Stage::Decode
         };
         let token_start = now;
+        // Compute and the KV stream depend only on the stage, the
+        // token and the layer's kind: priced once per token.
+        let kind_compute = table.token_compute(gpu, stage, token, micro);
+        let kv_flow = table
+            .kv_stream(inp, stage, token)?
+            .map(|(bytes, cap)| Flow {
+                bytes,
+                cap,
+                fixed: SimDuration::ZERO,
+                channel: "h2d:kv",
+            });
+        let writeback = match stage {
+            Stage::Prefill => &writeback_flows[0],
+            Stage::Decode => &writeback_flows[1],
+        };
         for j in 0..num_layers {
             let last_step = token + 1 == gen_len && j + 1 == num_layers;
             let next_index = (j + 1) % num_layers;
@@ -155,15 +171,7 @@ pub fn run_pipeline_des_with(
             let (load_done, next_kind, h2d_bytes) = if last_step {
                 (step_start, None, ByteSize::ZERO)
             } else {
-                let kv = if inp.policy.kv_offload() && table.kind(next_index) == LayerKind::Mha {
-                    let context = match stage {
-                        Stage::Prefill => 0,
-                        Stage::Decode => inp.workload.prompt_len + token,
-                    };
-                    kv_flow(inp, table, next_index, context)?
-                } else {
-                    None
-                };
+                let kv = kv_flow.filter(|_| table.kind(next_index) == LayerKind::Mha);
                 // The KV stream rides behind the layer's weight flows
                 // for this step only; once each layer's vector has
                 // grown to hold it, steps allocate nothing.
@@ -177,17 +185,13 @@ pub fn run_pipeline_des_with(
             };
 
             // Compute runs in parallel with the loads.
-            let compute = table.compute_time(gpu, j, stage, token) * f64::from(micro);
+            let compute = kind_compute.of(table.kind(j));
             let compute_done = step_start + compute;
 
             // KV write-back: enqueue after compute; stall only if the
             // previous write-back is still draining.
             let mut d2h_bytes = ByteSize::ZERO;
             let mut stall_until = step_start;
-            let writeback = match stage {
-                Stage::Prefill => &writeback_flows[0],
-                Stage::Decode => &writeback_flows[1],
-            };
             if let Some(wb) = writeback {
                 if table.kind(j) == LayerKind::Mha {
                     if let Some(prev) = writeback_done.take() {
@@ -260,31 +264,6 @@ struct Flow {
     cap: Bandwidth,
     fixed: SimDuration,
     channel: &'static str,
-}
-
-/// The inbound KV stream of MHA layer `j` at `context`, `None` when
-/// nothing streams — the one per-step flow that cannot be priced up
-/// front (its size and bandwidth curve depend on the context).
-fn kv_flow(
-    inp: &PipelineInputs<'_>,
-    table: &LayerCostTable,
-    j: usize,
-    context: usize,
-) -> Result<Option<Flow>, HelmError> {
-    let kv = table.kv_read_bytes(j, context);
-    if kv == ByteSize::ZERO {
-        return Ok(None);
-    }
-    let cap = inp
-        .system
-        .kv_stream_bandwidth(kv, Some(table.cpu_ws()))
-        .ok_or(HelmError::TierUnavailable { tier: "cpu" })?;
-    Ok(Some(Flow {
-        bytes: kv,
-        cap,
-        fixed: SimDuration::ZERO,
-        channel: "h2d:kv",
-    }))
 }
 
 /// The host→GPU weight flows of one layer, one per tier holding any

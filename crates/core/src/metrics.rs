@@ -40,8 +40,9 @@ pub struct LayerStepRecord {
     pub stage: Stage,
     /// GPU compute time of this layer.
     pub compute: SimDuration,
-    /// Transfer time of the *next* layer's offloaded weights,
-    /// overlapped with `compute` (zero when nothing streams).
+    /// Transfer time of the *next* layer's offloaded weights, plus
+    /// its KV cache under KV offloading, overlapped with `compute`
+    /// (zero when nothing streams).
     pub load_next: SimDuration,
     /// Kind of the layer whose weights streamed during this step.
     pub next_kind: Option<LayerKind>,
@@ -51,7 +52,12 @@ pub struct LayerStepRecord {
     /// GPU→host bytes moved during this step (KV-cache write-back
     /// under offloading).
     pub d2h_bytes: ByteSize,
-    /// Wall-clock of the step: `max(compute, load_next)` + sync.
+    /// Wall-clock of the step: `max(compute, load_next, writeback) +
+    /// sync`, where `writeback` is the KV write-back of an MHA step
+    /// under KV offloading (zero otherwise). The discrete-event
+    /// executor overlaps write-backs with later steps, so its
+    /// `writeback` term is only the stall until the previous
+    /// write-back drains.
     pub step: SimDuration,
 }
 

@@ -369,6 +369,11 @@ impl fmt::Display for AuditReport {
 /// auditing is off) or [`Auditor::new`] in tests (always on). Feed it
 /// observations as the run progresses and call [`Auditor::finish`] at
 /// the end; un-balanced ledgers become violations there.
+///
+/// Each hook is an `#[inline]` test of the active flag in front of an
+/// out-of-line `record_*` body. With auditing off, a hook costs its
+/// caller one branch and no call, which matters to the executors'
+/// hot loops: they call several hooks per step.
 #[derive(Debug, Default)]
 pub struct Auditor {
     active: bool,
@@ -399,15 +404,20 @@ impl Auditor {
     }
 
     /// Whether observations are being recorded.
+    #[inline]
     pub fn is_active(&self) -> bool {
         self.active
     }
 
     /// Records bytes handed to `channel` for transfer.
+    #[inline]
     pub fn scheduled(&mut self, channel: &str, bytes: ByteSize) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_scheduled(channel, bytes);
         }
+    }
+
+    fn record_scheduled(&mut self, channel: &str, bytes: ByteSize) {
         self.ledgers
             .entry(channel.to_owned())
             .or_default()
@@ -415,10 +425,14 @@ impl Auditor {
     }
 
     /// Records bytes arriving on `channel`.
+    #[inline]
     pub fn delivered(&mut self, channel: &str, bytes: ByteSize) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_delivered(channel, bytes);
         }
+    }
+
+    fn record_delivered(&mut self, channel: &str, bytes: ByteSize) {
         self.ledgers
             .entry(channel.to_owned())
             .or_default()
@@ -427,45 +441,65 @@ impl Auditor {
 
     /// Records bytes abandoned on `channel` (a cancelled transfer):
     /// they are accounted for, not lost.
+    #[inline]
     pub fn dropped(&mut self, channel: &str, bytes: ByteSize) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_dropped(channel, bytes);
         }
+    }
+
+    fn record_dropped(&mut self, channel: &str, bytes: ByteSize) {
         self.ledgers.entry(channel.to_owned()).or_default().dropped += bytes;
     }
 
     /// Records `n` requests handed to service channel `channel`.
+    #[inline]
     pub fn enqueued(&mut self, channel: &str, n: u64) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_enqueued(channel, n);
         }
+    }
+
+    fn record_enqueued(&mut self, channel: &str, n: u64) {
         self.counts.entry(channel.to_owned()).or_default().enqueued += n;
     }
 
     /// Records `n` requests finishing service on `channel`.
+    #[inline]
     pub fn completed(&mut self, channel: &str, n: u64) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_completed(channel, n);
         }
+    }
+
+    fn record_completed(&mut self, channel: &str, n: u64) {
         self.counts.entry(channel.to_owned()).or_default().completed += n;
     }
 
     /// Records `n` requests abandoned on `channel` (cancelled or shed
     /// load): they are accounted for, not lost.
+    #[inline]
     pub fn abandoned(&mut self, channel: &str, n: u64) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_abandoned(channel, n);
         }
+    }
+
+    fn record_abandoned(&mut self, channel: &str, n: u64) {
         self.counts.entry(channel.to_owned()).or_default().abandoned += n;
     }
 
     /// Checks a busy-time ledger against the wall-clock span it must
     /// fit inside (a small relative tolerance absorbs floating-point
     /// accumulation).
+    #[inline]
     pub fn check_busy_time(&mut self, label: &str, busy: SimDuration, elapsed: SimDuration) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_check_busy_time(label, busy, elapsed);
         }
+    }
+
+    fn record_check_busy_time(&mut self, label: &str, busy: SimDuration, elapsed: SimDuration) {
         if busy.as_secs() > elapsed.as_secs() * (1.0 + 1e-9) + 1e-12 {
             self.violations.push(Violation::BusyExceedsElapsed {
                 label: label.to_owned(),
@@ -477,10 +511,14 @@ impl Auditor {
 
     /// Observes `clock` at instant `now`, recording a violation if it
     /// moved backwards since the previous observation.
+    #[inline]
     pub fn observe_time(&mut self, clock: &str, now: SimTime) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_observe_time(clock, now);
         }
+    }
+
+    fn record_observe_time(&mut self, clock: &str, now: SimTime) {
         match self.clocks.get_mut(clock) {
             Some(prev) if now < *prev => {
                 let previous = *prev;
@@ -499,10 +537,14 @@ impl Auditor {
 
     /// Checks a duration for NaN/negative values. The
     /// [`SimDuration::INFINITY`] sentinel is deliberately allowed.
+    #[inline]
     pub fn check_duration(&mut self, label: &str, d: SimDuration) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_check_duration(label, d);
         }
+    }
+
+    fn record_check_duration(&mut self, label: &str, d: SimDuration) {
         let secs = d.as_secs();
         if secs.is_nan() || secs < 0.0 {
             self.violations.push(Violation::InvalidDuration {
@@ -513,10 +555,14 @@ impl Auditor {
     }
 
     /// Checks a bandwidth for NaN/infinite/non-positive rates.
+    #[inline]
     pub fn check_bandwidth(&mut self, label: &str, bw: Bandwidth) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_check_bandwidth(label, bw);
         }
+    }
+
+    fn record_check_bandwidth(&mut self, label: &str, bw: Bandwidth) {
         let bps = bw.as_bytes_per_s();
         if !bps.is_finite() || bps <= 0.0 {
             self.violations.push(Violation::InvalidBandwidth {
@@ -529,10 +575,14 @@ impl Auditor {
     /// Checks a (disk, cpu, gpu) percent split: each component in
     /// [0, 100] and the total within `0.5` of 100 (placement math is
     /// floating-point; achieved splits carry rounding).
+    #[inline]
     pub fn check_percent_split(&mut self, label: &str, percents: [f64; 3]) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_check_percent_split(label, percents);
         }
+    }
+
+    fn record_check_percent_split(&mut self, label: &str, percents: [f64; 3]) {
         let sum: f64 = percents.iter().sum();
         let components_ok = percents
             .iter()
@@ -546,10 +596,14 @@ impl Auditor {
     }
 
     /// Checks that a tier's placed bytes fit its capacity.
+    #[inline]
     pub fn check_tier_capacity(&mut self, tier: &str, used: ByteSize, capacity: ByteSize) {
-        if !self.active {
-            return;
+        if self.active {
+            self.record_check_tier_capacity(tier, used, capacity);
         }
+    }
+
+    fn record_check_tier_capacity(&mut self, tier: &str, used: ByteSize, capacity: ByteSize) {
         if used > capacity {
             self.violations.push(Violation::CapacityExceeded {
                 tier: tier.to_owned(),
@@ -708,15 +762,104 @@ mod tests {
         ));
     }
 
+    /// Calls every hook once with an input an active auditor records.
+    fn feed_every_hook(a: &mut Auditor) {
+        a.scheduled("h2d:cpu", mb(10.0)); // never delivered
+        a.delivered("h2d:disk", mb(3.0)); // never scheduled
+        a.dropped("d2h:kv", mb(2.0)); // never scheduled
+        a.enqueued("req:pipe0", 5); // never completed
+        a.completed("req:pipe1", 3);
+        a.abandoned("req:pipe2", 2);
+        a.observe_time("des", SimTime::from_secs(2.0));
+        a.observe_time("des", SimTime::from_secs(1.0)); // regresses
+        let nan = SimDuration::INFINITY - SimDuration::from_secs(f64::INFINITY);
+        a.check_duration("step", nan);
+        a.check_bandwidth("link", Bandwidth::default()); // zero
+        a.check_busy_time(
+            "pipe0",
+            SimDuration::from_secs(6.0),
+            SimDuration::from_secs(5.0),
+        );
+        a.check_tier_capacity("gpu", mb(101.0), mb(100.0));
+        a.check_percent_split("achieved", [20.0, 20.0, 10.0]);
+    }
+
     #[test]
     fn inactive_auditor_records_nothing() {
-        let mut a = Auditor {
+        let mut off = Auditor {
             active: false,
             ..Auditor::default()
         };
-        a.scheduled("h2d:cpu", mb(10.0));
-        a.observe_time("des", SimTime::from_secs(1.0));
-        assert!(a.finish_if_active().is_none());
+        feed_every_hook(&mut off);
+        let report = off.finish();
+        assert!(report.is_clean(), "{report}");
+        assert!(report.ledgers.is_empty() && report.counts.is_empty());
+
+        let mut off = Auditor {
+            active: false,
+            ..Auditor::default()
+        };
+        feed_every_hook(&mut off);
+        assert!(off.finish_if_active().is_none());
+
+        // The same calls on an active auditor each leave their mark,
+        // in the ledger field or violation their hook names.
+        let mut on = Auditor::new();
+        feed_every_hook(&mut on);
+        let report = on.finish();
+        let bytes = |scheduled, delivered, dropped| ByteLedger {
+            scheduled,
+            delivered,
+            dropped,
+        };
+        let z = ByteSize::ZERO;
+        assert_eq!(
+            report.ledgers,
+            vec![
+                ("d2h:kv".to_owned(), bytes(z, z, mb(2.0))),
+                ("h2d:cpu".to_owned(), bytes(mb(10.0), z, z)),
+                ("h2d:disk".to_owned(), bytes(z, mb(3.0), z)),
+            ]
+        );
+        let count = |enqueued, completed, abandoned| CountLedger {
+            enqueued,
+            completed,
+            abandoned,
+        };
+        assert_eq!(
+            report.counts,
+            vec![
+                ("req:pipe0".to_owned(), count(5, 0, 0)),
+                ("req:pipe1".to_owned(), count(0, 3, 0)),
+                ("req:pipe2".to_owned(), count(0, 0, 2)),
+            ]
+        );
+        let v = &report.violations;
+        assert_eq!(v.len(), 12, "{report}");
+        assert!(matches!(&v[0], Violation::TimeRegression { clock, .. } if clock == "des"));
+        assert!(
+            matches!(&v[1], Violation::InvalidDuration { label, secs } if label == "step" && secs.is_nan())
+        );
+        assert!(matches!(
+            &v[2],
+            Violation::InvalidBandwidth { label, bytes_per_s } if label == "link" && *bytes_per_s == 0.0
+        ));
+        assert!(matches!(&v[3], Violation::BusyExceedsElapsed { label, .. } if label == "pipe0"));
+        assert!(matches!(&v[4], Violation::CapacityExceeded { tier, .. } if tier == "gpu"));
+        assert!(matches!(&v[5], Violation::BadPercentSplit { label, .. } if label == "achieved"));
+        assert!(matches!(&v[6], Violation::OverDelivery { channel, .. } if channel == "d2h:kv"));
+        assert!(
+            matches!(&v[7], Violation::LedgerImbalance { channel, .. } if channel == "h2d:cpu")
+        );
+        assert!(matches!(&v[8], Violation::OverDelivery { channel, .. } if channel == "h2d:disk"));
+        for (i, channel) in ["req:pipe0", "req:pipe1", "req:pipe2"]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(
+                matches!(&v[9 + i], Violation::CountImbalance { channel: c, .. } if c == channel)
+            );
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub fn is_forced() -> bool {
 mod tests {
     use super::*;
 
+    // Release test runs audit only once `force_enable` has run, which
+    // depends on test order, so this holds only in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     fn debug_builds_audit_by_default() {
         // The test suite runs under debug_assertions.

@@ -48,6 +48,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is negative or NaN.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs >= 0.0 && !secs.is_nan(), "invalid sim time: {secs}");
         SimTime(secs)
@@ -58,6 +59,7 @@ impl SimTime {
     /// # Errors
     ///
     /// Returns [`UnitError::InvalidTime`] if `secs` is negative or NaN.
+    #[inline]
     pub fn try_from_secs(secs: f64) -> Result<Self, UnitError> {
         if secs >= 0.0 && !secs.is_nan() {
             Ok(SimTime(secs))
@@ -67,11 +69,13 @@ impl SimTime {
     }
 
     /// Seconds since simulation start.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
 
     /// Milliseconds since simulation start.
+    #[inline]
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
@@ -81,6 +85,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -90,6 +95,7 @@ impl SimTime {
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
@@ -99,6 +105,7 @@ impl SimTime {
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         if self <= other {
             self
@@ -119,6 +126,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or NaN.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs >= 0.0 && !secs.is_nan(), "invalid duration: {secs}");
         SimDuration(secs)
@@ -129,6 +137,7 @@ impl SimDuration {
     /// # Errors
     ///
     /// Returns [`UnitError::InvalidTime`] if `secs` is negative or NaN.
+    #[inline]
     pub fn try_from_secs(secs: f64) -> Result<Self, UnitError> {
         if secs >= 0.0 && !secs.is_nan() {
             Ok(SimDuration(secs))
@@ -145,22 +154,26 @@ impl SimDuration {
     ///
     /// Panics (at compile time when used in a `const`) if `secs` is
     /// negative or NaN.
+    #[inline]
     pub const fn from_secs_const(secs: f64) -> Self {
         assert!(secs >= 0.0 && !secs.is_nan(), "invalid duration");
         SimDuration(secs)
     }
 
     /// `const` form of [`SimDuration::from_millis`].
+    #[inline]
     pub const fn from_millis_const(ms: f64) -> Self {
         Self::from_secs_const(ms * 1e-3)
     }
 
     /// `const` form of [`SimDuration::from_micros`].
+    #[inline]
     pub const fn from_micros_const(us: f64) -> Self {
         Self::from_secs_const(us * 1e-6)
     }
 
     /// `const` form of [`SimDuration::from_nanos`].
+    #[inline]
     pub const fn from_nanos_const(ns: f64) -> Self {
         Self::from_secs_const(ns * 1e-9)
     }
@@ -170,6 +183,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `ms` is negative or NaN.
+    #[inline]
     pub fn from_millis(ms: f64) -> Self {
         Self::from_secs(ms * 1e-3)
     }
@@ -179,6 +193,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `us` is negative or NaN.
+    #[inline]
     pub fn from_micros(us: f64) -> Self {
         Self::from_secs(us * 1e-6)
     }
@@ -188,36 +203,43 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `ns` is negative or NaN.
+    #[inline]
     pub fn from_nanos(ns: f64) -> Self {
         Self::from_secs(ns * 1e-9)
     }
 
     /// The span in seconds.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
 
     /// The span in milliseconds.
+    #[inline]
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
 
     /// The span in microseconds.
+    #[inline]
     pub fn as_micros(self) -> f64 {
         self.0 * 1e6
     }
 
     /// The span in nanoseconds.
+    #[inline]
     pub fn as_nanos(self) -> f64 {
         self.0 * 1e9
     }
 
     /// Whether this is the [`SimDuration::INFINITY`] sentinel.
+    #[inline]
     pub fn is_infinite(self) -> bool {
         self.0.is_infinite()
     }
 
     /// The larger of two spans.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self >= other {
             self
@@ -227,6 +249,7 @@ impl SimDuration {
     }
 
     /// The smaller of two spans.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self <= other {
             self
@@ -238,11 +261,13 @@ impl SimDuration {
 
 impl Eq for SimTime {}
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -250,11 +275,13 @@ impl PartialOrd for SimTime {
 
 impl Eq for SimDuration {}
 impl Ord for SimDuration {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 impl PartialOrd for SimDuration {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -262,12 +289,14 @@ impl PartialOrd for SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -275,6 +304,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -282,12 +312,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -295,6 +327,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         assert!(rhs.0 <= self.0, "duration subtraction underflow");
         SimDuration(self.0 - rhs.0)
@@ -303,6 +336,7 @@ impl Sub for SimDuration {
 
 impl Mul<f64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: f64) -> SimDuration {
         SimDuration::from_secs(self.0 * rhs)
     }
@@ -310,6 +344,7 @@ impl Mul<f64> for SimDuration {
 
 impl Div<f64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: f64) -> SimDuration {
         SimDuration::from_secs(self.0 / rhs)
     }
@@ -317,6 +352,7 @@ impl Div<f64> for SimDuration {
 
 impl Div for SimDuration {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: SimDuration) -> f64 {
         self.0 / rhs.0
     }

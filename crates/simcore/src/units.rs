@@ -58,46 +58,55 @@ impl ByteSize {
     pub const ZERO: ByteSize = ByteSize(0);
 
     /// Exact byte count.
+    #[inline]
     pub const fn from_bytes(bytes: u64) -> Self {
         ByteSize(bytes)
     }
 
     /// Decimal kilobytes (1e3).
+    #[inline]
     pub fn from_kb(kb: f64) -> Self {
         Self::from_f64(kb * 1e3)
     }
 
     /// Decimal megabytes (1e6).
+    #[inline]
     pub fn from_mb(mb: f64) -> Self {
         Self::from_f64(mb * 1e6)
     }
 
     /// Decimal gigabytes (1e9).
+    #[inline]
     pub fn from_gb(gb: f64) -> Self {
         Self::from_f64(gb * 1e9)
     }
 
     /// Binary mebibytes (2^20).
+    #[inline]
     pub fn from_mib(mib: f64) -> Self {
         Self::from_f64(mib * (1u64 << 20) as f64)
     }
 
     /// Binary gibibytes (2^30).
+    #[inline]
     pub fn from_gib(gib: f64) -> Self {
         Self::from_f64(gib * (1u64 << 30) as f64)
     }
 
     /// Binary tebibytes (2^40).
+    #[inline]
     pub fn from_tib(tib: f64) -> Self {
         Self::from_f64(tib * (1u64 << 40) as f64)
     }
 
     /// `const` whole mebibytes, for typed size constants.
+    #[inline]
     pub const fn from_mib_const(mib: u64) -> Self {
         ByteSize(mib << 20)
     }
 
     /// `const` whole gibibytes, for typed size constants.
+    #[inline]
     pub const fn from_gib_const(gib: u64) -> Self {
         ByteSize(gib << 30)
     }
@@ -108,6 +117,7 @@ impl ByteSize {
     ///
     /// Returns [`UnitError::InvalidByteSize`] if `gb` is negative or
     /// not finite.
+    #[inline]
     pub fn try_from_gb(gb: f64) -> Result<Self, UnitError> {
         Self::try_from_f64(gb * 1e9)
     }
@@ -118,10 +128,12 @@ impl ByteSize {
     ///
     /// Returns [`UnitError::InvalidByteSize`] if `gib` is negative or
     /// not finite.
+    #[inline]
     pub fn try_from_gib(gib: f64) -> Result<Self, UnitError> {
         Self::try_from_f64(gib * (1u64 << 30) as f64)
     }
 
+    #[inline]
     fn try_from_f64(bytes: f64) -> Result<Self, UnitError> {
         if bytes >= 0.0 && bytes.is_finite() {
             Ok(ByteSize(bytes.round() as u64))
@@ -130,6 +142,7 @@ impl ByteSize {
         }
     }
 
+    #[inline]
     fn from_f64(bytes: f64) -> Self {
         assert!(
             bytes >= 0.0 && bytes.is_finite(),
@@ -139,46 +152,55 @@ impl ByteSize {
     }
 
     /// Raw byte count.
+    #[inline]
     pub const fn as_u64(self) -> u64 {
         self.0
     }
 
     /// Byte count as `f64` for rate math.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         self.0 as f64
     }
 
     /// Decimal gigabytes.
+    #[inline]
     pub fn as_gb(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Decimal megabytes.
+    #[inline]
     pub fn as_mb(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Binary gibibytes.
+    #[inline]
     pub fn as_gib(self) -> f64 {
         self.0 as f64 / (1u64 << 30) as f64
     }
 
     /// Binary mebibytes.
+    #[inline]
     pub fn as_mib(self) -> f64 {
         self.0 as f64 / (1u64 << 20) as f64
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(rhs.0))
     }
 
     /// The larger of two sizes.
+    #[inline]
     pub fn max(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.max(other.0))
     }
 
     /// The smaller of two sizes.
+    #[inline]
     pub fn min(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.min(other.0))
     }
@@ -186,12 +208,14 @@ impl ByteSize {
 
 impl Add for ByteSize {
     type Output = ByteSize;
+    #[inline]
     fn add(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.checked_add(rhs.0).expect("byte size overflow"))
     }
 }
 
 impl AddAssign for ByteSize {
+    #[inline]
     fn add_assign(&mut self, rhs: ByteSize) {
         *self = *self + rhs;
     }
@@ -199,6 +223,7 @@ impl AddAssign for ByteSize {
 
 impl Sub for ByteSize {
     type Output = ByteSize;
+    #[inline]
     fn sub(self, rhs: ByteSize) -> ByteSize {
         assert!(rhs.0 <= self.0, "byte size subtraction underflow");
         ByteSize(self.0 - rhs.0)
@@ -207,6 +232,7 @@ impl Sub for ByteSize {
 
 impl Mul<u64> for ByteSize {
     type Output = ByteSize;
+    #[inline]
     fn mul(self, rhs: u64) -> ByteSize {
         ByteSize(self.0.checked_mul(rhs).expect("byte size overflow"))
     }
@@ -214,6 +240,7 @@ impl Mul<u64> for ByteSize {
 
 impl Mul<f64> for ByteSize {
     type Output = ByteSize;
+    #[inline]
     fn mul(self, rhs: f64) -> ByteSize {
         ByteSize::from_f64(self.0 as f64 * rhs)
     }
@@ -221,6 +248,7 @@ impl Mul<f64> for ByteSize {
 
 impl Div<ByteSize> for ByteSize {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: ByteSize) -> f64 {
         self.0 as f64 / rhs.0 as f64
     }
@@ -267,6 +295,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if the rate is not finite and positive.
+    #[inline]
     pub fn from_gb_per_s(gbps: f64) -> Self {
         assert!(
             gbps.is_finite() && gbps > 0.0,
@@ -280,6 +309,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if the rate is not finite and positive.
+    #[inline]
     pub fn from_bytes_per_s(bps: f64) -> Self {
         assert!(bps.is_finite() && bps > 0.0, "invalid bandwidth: {bps} B/s");
         Bandwidth(bps)
@@ -293,6 +323,7 @@ impl Bandwidth {
     ///
     /// Panics (at compile time when used in a `const`) if the rate is
     /// not finite and positive.
+    #[inline]
     pub const fn from_gb_per_s_const(gbps: f64) -> Self {
         assert!(gbps.is_finite() && gbps > 0.0, "invalid bandwidth");
         Bandwidth(gbps * 1e9)
@@ -304,6 +335,7 @@ impl Bandwidth {
     ///
     /// Returns [`UnitError::InvalidBandwidth`] if the rate is not
     /// finite and positive.
+    #[inline]
     pub fn try_from_gb_per_s(gbps: f64) -> Result<Self, UnitError> {
         if gbps.is_finite() && gbps > 0.0 {
             Ok(Bandwidth(gbps * 1e9))
@@ -318,6 +350,7 @@ impl Bandwidth {
     ///
     /// Returns [`UnitError::InvalidBandwidth`] if the rate is not
     /// finite and positive.
+    #[inline]
     pub fn try_from_bytes_per_s(bps: f64) -> Result<Self, UnitError> {
         if bps.is_finite() && bps > 0.0 {
             Ok(Bandwidth(bps))
@@ -327,26 +360,31 @@ impl Bandwidth {
     }
 
     /// Rate in bytes/second.
+    #[inline]
     pub fn as_bytes_per_s(self) -> f64 {
         self.0
     }
 
     /// Rate in decimal GB/s.
+    #[inline]
     pub fn as_gb_per_s(self) -> f64 {
         self.0 / 1e9
     }
 
     /// Time to move `bytes` at this rate.
+    #[inline]
     pub fn time_for(self, bytes: ByteSize) -> SimDuration {
         SimDuration::from_secs(bytes.as_f64() / self.0)
     }
 
     /// The smaller (bottleneck) of two rates.
+    #[inline]
     pub fn min(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.min(other.0))
     }
 
     /// The larger of two rates.
+    #[inline]
     pub fn max(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.max(other.0))
     }
@@ -356,6 +394,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `factor` is not finite and positive.
+    #[inline]
     pub fn scale(self, factor: f64) -> Bandwidth {
         assert!(
             factor.is_finite() && factor > 0.0,
@@ -379,11 +418,13 @@ impl Bandwidth {
 
 impl Eq for Bandwidth {}
 impl Ord for Bandwidth {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 impl PartialOrd for Bandwidth {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
