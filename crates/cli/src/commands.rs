@@ -885,21 +885,32 @@ pub fn explain(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `helmsim sweep`: one-axis parameter sweeps.
+/// `helmsim sweep`: one-axis parameter sweeps. Prints nothing unless
+/// every point of the sweep ran.
 pub fn sweep(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&serve_flags_and(SWEEP_FLAGS))?;
-    let axis = args.get_or("axis", "batch").to_owned();
+    let rows = sweep_rows(args)?;
     println!(
         "{:<16} {:>12} {:>12} {:>12}",
         "point", "TTFT(ms)", "TBT(ms)", "tok/s"
     );
-    let print_row = |label: String, r: &helm_core::RunReport| {
-        println!(
+    for row in rows {
+        println!("{row}");
+    }
+    Ok(())
+}
+
+/// The table rows of `helmsim sweep`, one per point of the axis.
+fn sweep_rows(args: &Args) -> Result<Vec<String>, ArgError> {
+    args.reject_unknown(&serve_flags_and(SWEEP_FLAGS))?;
+    let axis = args.get_or("axis", "batch").to_owned();
+    let mut rows = Vec::new();
+    let mut push_row = |label: String, r: &helm_core::RunReport| {
+        rows.push(format!(
             "{label:<16} {:>12.1} {:>12.1} {:>12.3}",
             r.ttft_ms(),
             r.tbt_ms(),
             r.throughput_tps()
-        );
+        ));
     };
     match axis.as_str() {
         "batch" => {
@@ -914,7 +925,7 @@ pub fn sweep(args: &Args) -> Result<(), ArgError> {
                 )
                 .map_err(|e| ArgError(e.to_string()))?;
                 let r = s.run(&workload).map_err(|e| ArgError(e.to_string()))?;
-                print_row(format!("batch {batch}"), &r);
+                push_row(format!("batch {batch}"), &r);
                 if batch == max {
                     break;
                 }
@@ -928,7 +939,7 @@ pub fn sweep(args: &Args) -> Result<(), ArgError> {
                 let sub = Args::parse(forwarded)?;
                 let Session { server, workload } = session(&sub)?;
                 let r = server.run(&workload).map_err(|e| ArgError(e.to_string()))?;
-                print_row(format!("prompt {prompt}"), &r);
+                push_row(format!("prompt {prompt}"), &r);
             }
         }
         "cxl" => {
@@ -938,7 +949,7 @@ pub fn sweep(args: &Args) -> Result<(), ArgError> {
                 let sub = Args::parse(forwarded)?;
                 let Session { server, workload } = session(&sub)?;
                 let r = server.run(&workload).map_err(|e| ArgError(e.to_string()))?;
-                print_row(format!("cxl {gbps} GB/s"), &r);
+                push_row(format!("cxl {gbps} GB/s"), &r);
             }
         }
         other => {
@@ -947,7 +958,7 @@ pub fn sweep(args: &Args) -> Result<(), ArgError> {
             )))
         }
     }
-    Ok(())
+    Ok(rows)
 }
 
 /// Re-serializes the serve flags of `args`, skipping `except`.
@@ -1364,11 +1375,20 @@ mod tests {
         let batch = parse(&[
             "--model", "opt-1.3b", "--memory", "dram", "--gen", "2", "--axis", "batch",
         ]);
+        assert!(!sweep_rows(&batch).unwrap().is_empty());
         sweep(&batch).unwrap();
         let cxl = parse(&["--model", "opt-1.3b", "--gen", "2", "--axis", "cxl"]);
-        sweep(&cxl).unwrap();
-        let bad = parse(&["--axis", "sideways"]);
-        assert!(sweep(&bad).is_err());
+        assert_eq!(sweep_rows(&cxl).unwrap().len(), 5);
+        // A sweep that fails anywhere returns no rows, so `sweep`
+        // prints nothing — not even the header — before its error.
+        for bad in [
+            &["--batch", "0"][..],
+            &["--axis", "sideways"],
+            &["--axis", "prompt", "--gen", "0"],
+        ] {
+            assert!(sweep_rows(&parse(bad)).is_err(), "{bad:?}");
+            assert!(sweep(&parse(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@ use simcore::rng::SimRng;
 use simcore::stats::{Accumulator, Reservoir, SeriesStats};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{time_ticks, TraceSpan};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use workload::WorkloadSpec;
 
@@ -1035,9 +1036,16 @@ struct Pipe {
     idle: bool,
     /// In-flight request count (run-to-completion mode).
     in_flight: usize,
-    /// Active set: request plus output tokens still owed.
-    /// Continuous mode only.
-    active: Vec<(Req, usize)>,
+    /// Active set (continuous mode only): each request with the step
+    /// count at which it receives its last output token. Requests
+    /// join at the back owing the pipe's whole `gen_len` and every
+    /// step serves all of them, so finish steps never decrease from
+    /// front to back: a step retires a prefix, and the back entry
+    /// owes the most.
+    active: VecDeque<(Req, u64)>,
+    /// Continuous steps completed — the clock the active set's finish
+    /// steps count on.
+    steps: u64,
     /// Members of the in-flight run-to-completion batch. Held in pipe
     /// state (not in the completion event) so both granularities share
     /// one completion routine.
@@ -1064,7 +1072,8 @@ impl Pipe {
             queue: VecDeque::new(),
             idle: true,
             in_flight: 0,
-            active: Vec::new(),
+            active: VecDeque::new(),
+            steps: 0,
             members: Vec::new(),
             free_at: SimTime::ZERO,
             boundary: None,
@@ -1152,13 +1161,14 @@ fn req_channel(p: usize) -> String {
 /// the in-flight work finishes at `free_at`, then the backlog (plus
 /// the candidate) drains in run-to-completion batches priced by the
 /// pipe's own model. In continuous mode the active set's residual
-/// decode steps are added first; the batched drain of the queue is a
-/// deliberate upper-bound approximation of step-granularity
-/// admission.
+/// decode steps — as many as its back entry still owes — are added
+/// first; the batched drain of the queue is a deliberate upper-bound
+/// approximation of step-granularity admission.
 fn modeled_finish(pipe: &Pipe, model: &ServiceModel, continuous: bool, now: SimTime) -> SimTime {
     let mut t = pipe.free_at.max(now);
     if continuous {
-        if let Some(owed) = pipe.active.iter().map(|(_, owed)| *owed).max() {
+        if let Some(&(_, finish)) = pipe.active.back() {
+            let owed = finish - pipe.steps;
             t += model.decode_step(pipe.active.len() as u32) * owed as f64;
         }
     }
@@ -1180,76 +1190,98 @@ fn infeasible(req: &Req, model: &ServiceModel, now: SimTime) -> bool {
     req.deadline.is_some_and(|d| now + model.total(1) > d)
 }
 
-/// The pipeline `spec.scheduler` dispatches an arrival to.
-fn dispatch(st: &ClusterSt, i: usize, deadline: Option<SimTime>, now: SimTime) -> usize {
-    let finish = |pipe: &Pipe| modeled_finish(pipe, &st.models[pipe.model], st.continuous, now);
+/// The pipeline `spec.scheduler` dispatches an arrival to, with its
+/// modeled finish when the scheduler priced it. The finish-time
+/// schedulers price each pipe once; round-robin and JSQ price none.
+fn dispatch(
+    st: &ClusterSt,
+    i: usize,
+    deadline: Option<SimTime>,
+    now: SimTime,
+) -> (usize, Option<SimTime>) {
     match st.scheduler {
-        SchedulerKind::RoundRobin => i % st.pipes.len(),
-        SchedulerKind::JoinShortestQueue => st
-            .pipes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, pipe)| pipe.load())
-            .map_or(0, |(idx, _)| idx),
-        SchedulerKind::LeastFinishTime => st
-            .pipes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, pipe)| finish(pipe))
-            .map_or(0, |(idx, _)| idx),
-        SchedulerKind::DeadlineAware => {
-            // Best-fit: the slowest replica *configuration* that can
-            // still meet the deadline, load-balanced by least finish
-            // time within that configuration (ties to the lowest
-            // index). Keying on intrinsic service speed — not current
-            // backlog — keeps fast replicas free for requests only
-            // they can serve in time without the feedback loop where
-            // the most-backlogged replica keeps "winning". No deadline
-            // or no feasible replica: least finish time.
-            let best_fit = deadline.and_then(|d| {
-                st.pipes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, pipe)| finish(pipe) <= d)
-                    .min_by_key(|(_, pipe)| {
-                        (
-                            std::cmp::Reverse(st.models[pipe.model].total(1)),
-                            finish(pipe),
-                        )
-                    })
-                    .map(|(idx, _)| idx)
-            });
-            best_fit.unwrap_or_else(|| {
-                st.pipes
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, pipe)| finish(pipe))
-                    .map_or(0, |(idx, _)| idx)
-            })
+        SchedulerKind::RoundRobin => (i % st.pipes.len(), None),
+        SchedulerKind::JoinShortestQueue => {
+            let p = st
+                .pipes
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, pipe)| pipe.load())
+                .map_or(0, |(idx, _)| idx);
+            (p, None)
         }
+        SchedulerKind::LeastFinishTime => pick_by_finish(st, None, now),
+        SchedulerKind::DeadlineAware => pick_by_finish(st, deadline, now),
     }
 }
 
-/// Whether the admission policy accepts `req` on pipeline `p`.
-fn admit(st: &ClusterSt, p: usize, req: &Req, now: SimTime) -> bool {
+/// One pricing pass over every pipe: the pipe with the least modeled
+/// finish, with that finish — or, given a `deadline`, the best fit
+/// among the pipes that meet it. Best-fit is the slowest replica
+/// *configuration* that can still meet the deadline, load-balanced by
+/// least finish time within that configuration. Keying on intrinsic
+/// service speed — not current backlog — keeps fast replicas free for
+/// requests only they can serve in time without the feedback loop
+/// where the most-backlogged replica keeps "winning". No feasible
+/// replica: least finish time. Strict `<` keeps the lowest index on
+/// ties, as `min_by_key` would.
+fn pick_by_finish(
+    st: &ClusterSt,
+    deadline: Option<SimTime>,
+    now: SimTime,
+) -> (usize, Option<SimTime>) {
+    let mut least: Option<(usize, SimTime)> = None;
+    let mut fit: Option<(usize, (Reverse<SimDuration>, SimTime))> = None;
+    for (idx, pipe) in st.pipes.iter().enumerate() {
+        let model = &st.models[pipe.model];
+        let finish = modeled_finish(pipe, model, st.continuous, now);
+        if least.is_none_or(|(_, f)| finish < f) {
+            least = Some((idx, finish));
+        }
+        if deadline.is_some_and(|d| finish <= d) {
+            let key = (Reverse(model.total(1)), finish);
+            if fit.is_none_or(|(_, k)| key < k) {
+                fit = Some((idx, key));
+            }
+        }
+    }
+    fit.map(|(idx, (_, finish))| (idx, finish))
+        .or(least)
+        .map_or((0, None), |(idx, finish)| (idx, Some(finish)))
+}
+
+/// Whether the admission policy accepts `req` on pipeline `p`;
+/// `priced` is `p`'s modeled finish when dispatch already computed it.
+fn admit(st: &ClusterSt, p: usize, priced: Option<SimTime>, req: &Req, now: SimTime) -> bool {
     let pipe = &st.pipes[p];
     match st.admission {
         AdmissionPolicy::AcceptAll => true,
         AdmissionPolicy::QueueCap(cap) => pipe.load() < cap,
         AdmissionPolicy::DeadlineFeasible => match req.deadline {
             None => true,
-            Some(d) => modeled_finish(pipe, &st.models[pipe.model], st.continuous, now) <= d,
+            Some(d) => {
+                let finish = priced.unwrap_or_else(|| {
+                    modeled_finish(pipe, &st.models[pipe.model], st.continuous, now)
+                });
+                finish <= d
+            }
         },
     }
 }
 
 /// Queues `req` on pipeline `p`: FIFO normally, EDF order (ties FIFO)
-/// under [`SchedulerKind::DeadlineAware`].
+/// under [`SchedulerKind::DeadlineAware`]. Arrivals mostly sort last,
+/// so the sorted queue appends without a search when they do.
 fn push_request(st: &mut ClusterSt, p: usize, req: Req) {
     let queue = &mut st.pipes[p].queue;
     if st.scheduler == SchedulerKind::DeadlineAware {
-        let pos = queue.partition_point(|q| q.edf_key() <= req.edf_key());
-        queue.insert(pos, req);
+        let key = req.edf_key();
+        if queue.back().is_none_or(|back| back.edf_key() <= key) {
+            queue.push_back(req);
+        } else {
+            let pos = queue.partition_point(|q| q.edf_key() <= key);
+            queue.insert(pos, req);
+        }
     } else {
         queue.push_back(req);
     }
@@ -1442,7 +1474,7 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
     debug_assert!(st.pipes[p].idle);
     st.pipes[p].idle = false;
     let model_idx = st.pipes[p].model;
-    let gen_len = st.models[model_idx].gen_len();
+    let finish = st.pipes[p].steps + st.models[model_idx].gen_len() as u64;
     let max_batch = st.models[model_idx].max_batch();
     let continuing = st.pipes[p].active.len() as u32;
     let mut admitted = 0u32;
@@ -1458,7 +1490,8 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
                 }
                 st.queue_delay.add((now - req.at).as_secs());
                 req.admitted = now;
-                st.pipes[p].active.push((req, gen_len));
+                debug_assert!(st.pipes[p].active.back().is_none_or(|&(_, f)| f <= finish));
+                st.pipes[p].active.push_back((req, finish));
                 admitted += 1;
             }
             Some(req) => {
@@ -1498,28 +1531,26 @@ fn start_step(st: &mut ClusterSt, p: usize, now: SimTime) -> Option<SimTime> {
 /// the pipe has active or queued work to restart on.
 fn complete_step(st: &mut ClusterSt, p: usize, done: SimTime) -> bool {
     st.audit.observe_time("cluster", done);
-    // Compact the active set in place (order-preserving): finished
-    // requests drop out, survivors slide forward with one fewer
-    // token owed. No per-step replacement Vec.
-    let len = st.pipes[p].active.len();
-    let mut write = 0usize;
+    // Bump the step clock and retire, front to back, the prefix whose
+    // finish step it reached; survivors are not touched. `batch` is
+    // the active-set size the step served.
+    let batch = st.pipes[p].active.len() as u32;
+    st.pipes[p].steps += 1;
+    let steps = st.pipes[p].steps;
     let mut finished = 0u64;
-    for read in 0..len {
-        let (req, owed) = st.pipes[p].active[read];
-        if owed <= 1 {
-            st.e2e.add((done - req.at).as_secs());
-            match req.deadline {
-                Some(d) if done > d => st.slo_violations += 1,
-                _ => st.met += 1,
-            }
-            record_request(st, p, &req, done, len as u32);
-            finished += 1;
-        } else {
-            st.pipes[p].active[write] = (req, owed - 1);
-            write += 1;
+    while let Some(&(req, finish)) = st.pipes[p].active.front() {
+        if finish > steps {
+            break;
         }
+        st.pipes[p].active.pop_front();
+        st.e2e.add((done - req.at).as_secs());
+        match req.deadline {
+            Some(d) if done > d => st.slo_violations += 1,
+            _ => st.met += 1,
+        }
+        record_request(st, p, &req, done, batch);
+        finished += 1;
     }
-    st.pipes[p].active.truncate(write);
     st.pipes[p].served += finished;
     if finished > 0 {
         st.audit.completed(&st.channels[p], finished);
@@ -1785,10 +1816,10 @@ fn fire_arrival(st: &mut ClusterSt, i: usize, req: Req, vseq: u64) -> Result<(),
     }
     st.events += 1;
     let now = st.now;
-    let p = dispatch(st, i, req.deadline, now);
+    let (p, priced) = dispatch(st, i, req.deadline, now);
     st.audit.observe_time("cluster", now);
     st.audit.enqueued(&st.channels[p], 1);
-    if !admit(st, p, &req, now) {
+    if !admit(st, p, priced, &req, now) {
         st.audit.abandoned(&st.channels[p], 1);
         st.pipes[p].rejected += 1;
     } else {
@@ -3165,5 +3196,93 @@ mod tests {
             run_cluster_mix(groups, &ws, &mut PoissonArrivals::new(0.05, 9), 20, spec).unwrap();
         assert_eq!(format!("{cached:?}"), format!("{fresh:?}"));
         assert_eq!(cache.calibrations(), 2, "warm run must not recalibrate");
+    }
+
+    /// 64-bit FNV-1a of `text`.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Whole cluster reports, pinned as the FNV-1a of their `Debug`
+    /// rendering with the audit ledger removed (present only when
+    /// auditing is on), so an engine rewrite must reproduce every
+    /// float, count and sample bit for bit. The cluster is the paper's
+    /// serving mix {HeLM b4 ×2, All-CPU b44 ×2}; the runs cover
+    /// continuous deadline-aware dispatch with deadline admission,
+    /// continuous least-finish-time, continuous JSQ with a queue cap
+    /// at one output token (every request retires at its first step),
+    /// and run-to-completion deadline-aware dispatch.
+    #[test]
+    fn cluster_reports_are_pinned_bit_for_bit() {
+        let helm = server(PlacementKind::Helm, 4);
+        let allcpu = server(PlacementKind::AllCpu, 44);
+        let groups = [(&helm, 2usize), (&allcpu, 2usize)];
+        let bimodal = DeadlineSpec::Bimodal {
+            tight: SimDuration::from_secs(130.0),
+            loose: SimDuration::from_secs(400.0),
+            tight_fraction: 0.1,
+            seed: 42,
+        };
+        let edf = ClusterSpec::new(1)
+            .with_scheduler(SchedulerKind::DeadlineAware)
+            .with_admission(AdmissionPolicy::DeadlineFeasible)
+            .with_deadlines(bimodal);
+        // (name, spec, gen_len, λ, digest).
+        let cases: [(&str, ClusterSpec, usize, f64, u64); 4] = [
+            (
+                "continuous edf deadline full",
+                edf.with_continuous(true).with_record(RecordMode::Full),
+                21,
+                0.4,
+                0xe285_5ebf_a327_e8dc,
+            ),
+            (
+                "continuous lft accept-all",
+                ClusterSpec::new(1)
+                    .with_scheduler(SchedulerKind::LeastFinishTime)
+                    .with_continuous(true)
+                    .with_deadlines(bimodal)
+                    .with_record(RecordMode::Aggregate),
+                21,
+                0.4,
+                0x6464_633d_5e9a_a05e,
+            ),
+            (
+                "continuous jsq cap gen 1",
+                ClusterSpec::new(1)
+                    .with_scheduler(SchedulerKind::JoinShortestQueue)
+                    .with_admission(AdmissionPolicy::QueueCap(6))
+                    .with_continuous(true),
+                1,
+                2.0,
+                0x8c37_5b1e_853b_eef3,
+            ),
+            (
+                "run-to-completion edf deadline",
+                edf,
+                21,
+                0.4,
+                0x26a6_9d39_94fb_c2c7,
+            ),
+        ];
+        let mut cache = CalibrationCache::new();
+        for (name, spec, gen_len, lambda, digest) in cases {
+            let ws = WorkloadSpec::new(128, gen_len, 1);
+            let mut r = run_cluster_mix_cached(
+                &groups,
+                &ws,
+                &mut PoissonArrivals::new(lambda, 42),
+                3000,
+                spec,
+                &mut cache,
+            )
+            .unwrap();
+            assert_eq!(r.offered(), 3000, "{name}");
+            r.audit = None;
+            let got = fnv1a(&format!("{r:?}"));
+            assert_eq!(got, digest, "{name}: {got:#018x}");
+        }
     }
 }

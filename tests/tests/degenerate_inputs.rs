@@ -7,12 +7,13 @@
 //! plausibly could) assert or divide by zero: an empty cluster mix, a
 //! plan space with nothing to search, a zero-request probe, a
 //! zero-request serve, arrival rates at the ends of the `f64` range,
-//! and a zero-capacity latency reservoir.
+//! deadlines from zero to infinity at one to 64 output tokens, and a
+//! zero-capacity latency reservoir.
 
 use helm_core::error::HelmError;
 use helm_core::online::{
-    run_cluster, run_cluster_mix, AdmissionPolicy, ClusterSpec, DeadlineSpec, PoissonArrivals,
-    SchedulerKind, StepGranularity,
+    run_cluster, run_cluster_mix, run_cluster_mix_cached, AdmissionPolicy, CalibrationCache,
+    ClusterReport, ClusterSpec, DeadlineSpec, PoissonArrivals, SchedulerKind, StepGranularity,
 };
 use helm_core::placement::PlacementKind;
 use helm_core::planner::{plan, PlanSpace, PlanTarget, SearchBudget, TrafficSpec};
@@ -41,6 +42,34 @@ fn assert_invalid_config(result: Result<impl std::fmt::Debug, HelmError>, what: 
         Err(HelmError::InvalidConfig(_)) => {}
         other => panic!("{what}: expected InvalidConfig, got {other:?}"),
     }
+}
+
+/// The checks every extreme-configuration cluster run must pass: a
+/// rerun repeats it exactly, and a report accounts for all `n`
+/// requests overall and per pipeline and renders no NaN. Returns the
+/// report, or the typed error both runs returned.
+fn check_run(
+    case: &str,
+    n: usize,
+    mut run: impl FnMut() -> Result<ClusterReport, HelmError>,
+) -> Result<ClusterReport, HelmError> {
+    let first = run();
+    let rendered = format!("{first:?}");
+    assert_eq!(rendered, format!("{:?}", run()), "{case}: rerun diverged");
+    let report = first?;
+    assert_eq!(
+        report.served + report.rejected + report.expired,
+        n as u64,
+        "{case}: requests lost"
+    );
+    let per_pipe: u64 = report
+        .per_pipeline
+        .iter()
+        .map(|p| p.served + p.rejected + p.expired)
+        .sum();
+    assert_eq!(per_pipe, n as u64, "{case}: pipelines lost requests");
+    assert!(!rendered.contains("NaN"), "{case}: NaN in {rendered}");
+    Ok(report)
 }
 
 /// An empty cluster mix is a typed error, not an assert — and so is a
@@ -181,26 +210,102 @@ fn extreme_arrival_rates_give_honest_reports() {
                         .with_deadlines(deadlines)
                         .with_continuous(continuous);
                     let case = format!("λ={lambda:e} continuous={continuous} {scheduler:?} n={n}");
-                    let run = || {
+                    check_run(&case, n, || {
                         let mut arrivals = PoissonArrivals::new(lambda, 11);
                         run_cluster(&server, &workload, &mut arrivals, n, spec)
-                            .unwrap_or_else(|e| panic!("{case}: {e}"))
-                    };
-                    let report = run();
-                    assert_eq!(
-                        report.served + report.rejected + report.expired,
-                        n as u64,
-                        "{case}: requests lost"
-                    );
-                    let per_pipe: u64 = report
-                        .per_pipeline
-                        .iter()
-                        .map(|p| p.served + p.rejected + p.expired)
-                        .sum();
-                    assert_eq!(per_pipe, n as u64, "{case}: pipelines lost requests");
-                    let rendered = format!("{report:?}");
-                    assert!(!rendered.contains("NaN"), "{case}: NaN in {rendered}");
-                    assert_eq!(rendered, format!("{:?}", run()), "{case}: rerun diverged");
+                    })
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                }
+            }
+        }
+    }
+}
+
+/// Deadlines from zero to infinity and output lengths from one token
+/// to 64, over both batching modes, three dispatch/admission pairs,
+/// one or three pipelines and one or 50 requests. At one token every
+/// active request retires at its first step. Every run must give an
+/// honest report (see [`check_run`]) or a typed error: zero deadlines
+/// are all missed, and deadline-aware dispatch rejects or sheds every
+/// such request; deadlines no run can reach are all met.
+#[test]
+fn extreme_deadlines_and_output_lengths_give_honest_reports() {
+    let secs = SimDuration::from_secs;
+    let bimodal = |tight_fraction| DeadlineSpec::Bimodal {
+        tight: SimDuration::ZERO,
+        loose: secs(1e300),
+        tight_fraction,
+        seed: 5,
+    };
+    // (deadlines, every deadline is zero, no deadline can be missed).
+    let deadlines = [
+        (DeadlineSpec::Fixed(SimDuration::ZERO), true, false),
+        (DeadlineSpec::Fixed(secs(1e-9)), false, false),
+        (DeadlineSpec::Fixed(secs(1e300)), false, true),
+        (DeadlineSpec::Fixed(SimDuration::INFINITY), false, true),
+        (bimodal(1.0), true, false),
+        (bimodal(0.0), false, true),
+    ];
+    let policies = [
+        (
+            SchedulerKind::DeadlineAware,
+            AdmissionPolicy::DeadlineFeasible,
+        ),
+        (SchedulerKind::LeastFinishTime, AdmissionPolicy::AcceptAll),
+        (
+            SchedulerKind::JoinShortestQueue,
+            AdmissionPolicy::QueueCap(1),
+        ),
+    ];
+    let (helm4, helm8) = (small_server(4), small_server(8));
+    let mixes: [&[(&Server, usize)]; 2] = [&[(&helm4, 1)], &[(&helm4, 2), (&helm8, 1)]];
+    // One cache across the grid: each configuration calibrates once
+    // per output length.
+    let mut cache = CalibrationCache::new();
+    for gen_len in [1usize, 2, 64] {
+        let workload = WorkloadSpec::new(32, gen_len, 1);
+        for (deadline, zero, unbounded) in deadlines {
+            for continuous in [false, true] {
+                for (scheduler, admission) in policies {
+                    for groups in mixes {
+                        for n in [1usize, 50] {
+                            let spec = ClusterSpec::new(1)
+                                .with_scheduler(scheduler)
+                                .with_admission(admission)
+                                .with_deadlines(deadline)
+                                .with_continuous(continuous);
+                            let case = format!(
+                                "gen={gen_len} {deadline:?} continuous={continuous} \
+                                 {scheduler:?} pipes={} n={n}",
+                                groups.iter().map(|(_, c)| c).sum::<usize>()
+                            );
+                            let run = || {
+                                let mut arrivals = PoissonArrivals::new(0.5, 11);
+                                run_cluster_mix_cached(
+                                    groups,
+                                    &workload,
+                                    &mut arrivals,
+                                    n,
+                                    spec,
+                                    &mut cache,
+                                )
+                            };
+                            let Ok(report) = check_run(&case, n, run) else {
+                                continue;
+                            };
+                            if zero {
+                                assert_eq!(report.met, 0, "{case}: a zero deadline was met");
+                                if scheduler == SchedulerKind::DeadlineAware {
+                                    assert_eq!(report.served, 0, "{case}: served past deadline");
+                                }
+                            }
+                            if unbounded {
+                                assert_eq!(report.expired, 0, "{case}: shed a request");
+                                assert_eq!(report.slo_violations, 0, "{case}: missed");
+                                assert_eq!(report.met, report.served, "{case}");
+                            }
+                        }
+                    }
                 }
             }
         }
