@@ -160,16 +160,27 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
     // Span collection composes with the normal run: the traced report
     // is byte-identical, so the printed numbers never depend on
     // whether a trace was requested.
-    let report = match args.get("trace-out") {
+    let (report, trace) = match args.get("trace-out") {
         Some(path) => {
             let (report, trace) = server
                 .run_traced(&workload)
                 .map_err(|e| ArgError(e.to_string()))?;
-            write_trace(path, &trace, json)?;
-            report
+            (report, Some((path, trace)))
         }
-        None => server.run(&workload).map_err(|e| ArgError(e.to_string()))?,
+        None => (
+            server.run(&workload).map_err(|e| ArgError(e.to_string()))?,
+            None,
+        ),
     };
+    // Both files are written before anything is printed, so a bad
+    // path fails with nothing on stdout.
+    if let Some(path) = args.get("csv") {
+        std::fs::write(path, report.to_csv())
+            .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
+    }
+    if let Some((path, trace)) = &trace {
+        write_trace(path, trace, json)?;
+    }
     let [disk, cpu, gpu] = report.achieved_distribution;
     if json {
         println!(
@@ -213,8 +224,6 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         }
     }
     if let Some(path) = args.get("csv") {
-        std::fs::write(path, report.to_csv())
-            .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
         if !json {
             println!(
                 "  timeline    : wrote {} steps to {path}",
@@ -1102,6 +1111,58 @@ mod tests {
                 assert_eq!(err, format!("{flag} must be at least 1"), "{name}");
             }
         }
+    }
+
+    #[test]
+    fn batch_products_past_u32_are_an_error() {
+        // 65536 × 65536 wraps a u32 to 0: every command that builds a
+        // session must refuse it, not serve a batch of 0.
+        type Command = fn(&Args) -> Result<(), ArgError>;
+        let commands: [(&str, Command, &[&str]); 8] = [
+            ("serve", serve, &[]),
+            ("serve --pipelines", serve, &["--pipelines", "2"]),
+            ("plan", plan, &[]),
+            ("autoplace", autoplace, &[]),
+            ("maxbatch", maxbatch, &[]),
+            ("energy", energy, &[]),
+            ("explain", explain, &[]),
+            ("sweep", sweep, &[]),
+        ];
+        for (name, run, extra) in commands {
+            let mut tokens = vec![
+                "--model",
+                "opt-1.3b",
+                "--memory",
+                "dram",
+                "--batch",
+                "65536",
+                "--gpu-batches",
+                "65536",
+            ];
+            tokens.extend_from_slice(extra);
+            let err = run(&parse(&tokens)).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                "invalid configuration: the batch size times the GPU batch count exceeds u32::MAX",
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_fails_on_an_unwritable_csv_path() {
+        let args = parse(&[
+            "--model",
+            "opt-1.3b",
+            "--memory",
+            "dram",
+            "--gen",
+            "2",
+            "--csv",
+            "/nonexistent/dir/x.csv",
+        ]);
+        let err = serve(&args).unwrap_err().to_string();
+        assert!(err.starts_with("writing /nonexistent/dir/x.csv"), "{err}");
     }
 
     #[test]

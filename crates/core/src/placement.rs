@@ -25,6 +25,7 @@ use llm::weights::{DType, WeightSpec};
 use llm::ModelConfig;
 use simcore::units::ByteSize;
 use std::fmt;
+use std::sync::Arc;
 
 /// A placement tier (FlexGen's `env.disk / env.cpu / env.gpu`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,7 +111,10 @@ pub struct PlacedWeight {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlacement {
     layer: Layer,
-    weights: Vec<PlacedWeight>,
+    /// Shared by every layer of the same class (see
+    /// [`ModelPlacement::from_classes`]); `Arc`'s `Debug` and
+    /// `PartialEq` read through to the slice.
+    weights: Arc<[PlacedWeight]>,
 }
 
 impl LayerPlacement {
@@ -208,7 +212,7 @@ impl ModelPlacement {
         let mut ends: Option<(ByteSize, ByteSize)> = None;
         for lp in &layers {
             let mut on = [ByteSize::ZERO; 3];
-            for w in &lp.weights {
+            for w in lp.weights.iter() {
                 on[tier_slot(w.tier)] += w.spec.bytes(dtype);
             }
             for (total, bytes) in totals.iter_mut().zip(on) {
@@ -232,6 +236,38 @@ impl ModelPlacement {
             totals,
             staging,
         }
+    }
+
+    /// The one constructor behind every builder. `class` names each
+    /// layer's class, and `list` builds a class's tensor list at its
+    /// first layer; every later layer of the class shares that list
+    /// instead of holding a copy. Only the few classes are kept on the
+    /// side, and no per-layer index: a per-layer class vector moved
+    /// `bench_e2e` `offline-grid`'s peak RSS up by one 3 MiB step
+    /// record through heap layout alone.
+    fn from_classes<K: PartialEq>(
+        layers: Vec<Layer>,
+        class: impl Fn(&Layer) -> K,
+        mut list: impl FnMut(&Layer) -> Arc<[PlacedWeight]>,
+        dtype: DType,
+    ) -> ModelPlacement {
+        let mut lists: Vec<(K, Arc<[PlacedWeight]>)> = Vec::new();
+        let layers = layers
+            .into_iter()
+            .map(|layer| {
+                let key = class(&layer);
+                let weights = match lists.iter().find(|(k, _)| *k == key) {
+                    Some((_, shared)) => Arc::clone(shared),
+                    None => {
+                        let shared = list(&layer);
+                        lists.push((key, Arc::clone(&shared)));
+                        shared
+                    }
+                };
+                LayerPlacement { layer, weights }
+            })
+            .collect();
+        ModelPlacement::new(layers, dtype)
     }
 
     /// Places every layer of `model` according to `policy`.
@@ -305,27 +341,28 @@ impl ModelPlacement {
         } else {
             DType::F16
         };
-        let layers = Layer::sequence(model)
-            .into_iter()
-            .map(|layer| {
-                let specs = layer.weight_specs();
-                let pinned = layer.block().map(|b| b < pinned_blocks).unwrap_or(false);
-                let tier = if pinned { Tier::Gpu } else { Tier::Cpu };
-                let weights = specs
-                    .into_iter()
-                    .map(|spec| PlacedWeight { spec, tier })
-                    .collect();
-                LayerPlacement { layer, weights }
-            })
-            .collect();
-        ModelPlacement::new(layers, dtype)
+        let pinned = |layer: &Layer| layer.block().is_some_and(|b| b < pinned_blocks);
+        ModelPlacement::from_classes(
+            Layer::sequence(model),
+            |layer| (layer.kind(), pinned(layer)),
+            |layer| {
+                let tier = if pinned(layer) { Tier::Gpu } else { Tier::Cpu };
+                placed(layer.weight_specs(), std::iter::repeat(tier))
+            },
+            dtype,
+        )
     }
 
+    /// [`Self::compute`] and [`Self::compute_helm_demoted`]: a layer's
+    /// specs depend only on its kind and the model, and the allocators
+    /// read only the specs, the kind, the policy and `demote_ffn`, so
+    /// each kind is placed once, at its first layer.
     fn compute_inner(model: &ModelConfig, policy: &Policy, demote_ffn: bool) -> ModelPlacement {
         let dtype = policy.weight_dtype();
-        let layers = Layer::sequence(model)
-            .into_iter()
-            .map(|layer| {
+        ModelPlacement::from_classes(
+            Layer::sequence(model),
+            Layer::kind,
+            |layer| {
                 let specs = layer.weight_specs();
                 let tiers = match policy.placement() {
                     PlacementKind::Baseline => {
@@ -341,15 +378,10 @@ impl ModelPlacement {
                     }
                     PlacementKind::AllCpu => vec![Tier::Cpu; specs.len()],
                 };
-                let weights = specs
-                    .into_iter()
-                    .zip(tiers)
-                    .map(|(spec, tier)| PlacedWeight { spec, tier })
-                    .collect();
-                LayerPlacement { layer, weights }
-            })
-            .collect();
-        ModelPlacement::new(layers, dtype)
+                placed(specs, tiers)
+            },
+            dtype,
+        )
     }
 
     /// Per-layer placements in layer order.
@@ -437,13 +469,10 @@ pub struct CustomTotals {
 
 /// A reusable generator of custom placements over one model.
 ///
-/// [`ModelPlacement::compute_custom`] walks the whole flattened layer
-/// sequence and allocates every layer's tensors; a grid search calls
-/// it once per candidate, re-deriving the identical layer sequence
-/// and spec lists every time. The template hoists that invariant work
-/// once: layers are grouped into classes with identical
-/// `(kind, weight specs)` — one MHA class and one FFN class for the
-/// uniform decoder stacks of the OPT family, plus the embeddings —
+/// A grid search builds one custom placement per candidate; the
+/// template derives the layer sequence and its spec lists once. A
+/// layer's specs depend only on its kind and the model, so layers are
+/// grouped into one class per kind — MHA, FFN and the two embeddings —
 /// and per-candidate work shrinks to one `helm_allocate` call per
 /// class. [`Self::build`] is bit-identical to `compute_custom` by
 /// construction (`compute_custom` delegates to it), and
@@ -455,7 +484,7 @@ pub struct CustomPlacementTemplate {
     layers: Vec<Layer>,
     /// Class index of each layer in sequence order.
     class_of: Vec<usize>,
-    /// The distinct `(kind, specs)` allocation classes.
+    /// Each class's kind and specs, in order of first appearance.
     classes: Vec<(LayerKind, Vec<WeightSpec>)>,
 }
 
@@ -473,14 +502,11 @@ impl CustomPlacementTemplate {
         let class_of = layers
             .iter()
             .map(|layer| {
-                let specs = layer.weight_specs();
-                match classes
-                    .iter()
-                    .position(|(kind, cached)| *kind == layer.kind() && *cached == specs)
-                {
+                let kind = layer.kind();
+                match classes.iter().position(|(seen, _)| *seen == kind) {
                     Some(class) => class,
                     None => {
-                        classes.push((layer.kind(), specs));
+                        classes.push((kind, layer.weight_specs()));
                         classes.len() - 1
                     }
                 }
@@ -562,28 +588,31 @@ impl CustomPlacementTemplate {
     /// percentages.
     pub fn build(&self, mha: [f64; 3], ffn: [f64; 3], other: [f64; 3]) -> ModelPlacement {
         let tiers = self.class_tiers(mha, ffn, other);
-        let layers = self
-            .layers
-            .iter()
-            .zip(&self.class_of)
-            .map(|(layer, &class)| {
-                let (_, specs) = &self.classes[class];
-                let weights = specs
-                    .iter()
-                    .zip(&tiers[class])
-                    .map(|(spec, &tier)| PlacedWeight {
-                        spec: spec.clone(),
-                        tier,
-                    })
-                    .collect();
-                LayerPlacement {
-                    layer: layer.clone(),
-                    weights,
-                }
-            })
-            .collect();
-        ModelPlacement::new(layers, self.dtype)
+        ModelPlacement::from_classes(
+            self.layers.clone(),
+            |layer| self.class_of[layer.index()],
+            |layer| {
+                let class = self.class_of[layer.index()];
+                placed(
+                    self.classes[class].1.iter().cloned(),
+                    tiers[class].iter().copied(),
+                )
+            },
+            self.dtype,
+        )
     }
+}
+
+/// One class's shared tensor list: each spec with its tier.
+fn placed(
+    specs: impl IntoIterator<Item = WeightSpec>,
+    tiers: impl IntoIterator<Item = Tier>,
+) -> Arc<[PlacedWeight]> {
+    specs
+        .into_iter()
+        .zip(tiers)
+        .map(|(spec, tier)| PlacedWeight { spec, tier })
+        .collect()
 }
 
 /// Listing 2, `get_device`: first choice whose cumulative percentage
@@ -932,6 +961,51 @@ mod tests {
             assert_eq!(p.staging_bytes(), staging);
             assert_eq!(p.offloaded_working_set(), offloaded.iter().copied().sum());
         }
+    }
+
+    /// Asserts that two layers share one tensor list exactly when
+    /// `key` puts them in one class, and that a clone shares them too.
+    fn assert_shared_by<K: PartialEq>(p: &ModelPlacement, key: impl Fn(&Layer) -> K) {
+        let copy = p.clone();
+        for (a, a_copy) in p.layers().iter().zip(copy.layers()) {
+            assert!(Arc::ptr_eq(&a.weights, &a_copy.weights), "clone copied");
+            for b in p.layers() {
+                assert_eq!(
+                    Arc::ptr_eq(&a.weights, &b.weights),
+                    key(&a.layer) == key(&b.layer),
+                    "layers {} and {}",
+                    a.layer.index(),
+                    b.layer.index()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn layers_of_one_class_share_one_list() {
+        let model = ModelConfig::opt_175b();
+        for kind in [
+            PlacementKind::Baseline,
+            PlacementKind::Helm,
+            PlacementKind::AllCpu,
+        ] {
+            let (_, policy) = opt175b_policy(kind, true);
+            assert_shared_by(&ModelPlacement::compute(&model, &policy), Layer::kind);
+            assert_shared_by(
+                &ModelPlacement::compute_helm_demoted(&model, &policy),
+                Layer::kind,
+            );
+        }
+        let pinned = ModelPlacement::compute_pinned_prefix(&model, true, 32);
+        assert_shared_by(&pinned, |l| (l.kind(), l.block().is_some_and(|b| b < 32)));
+        let custom = ModelPlacement::compute_custom(
+            &model,
+            true,
+            [10.0, 90.0, 0.0],
+            [30.0, 70.0, 0.0],
+            [0.0, 100.0, 0.0],
+        );
+        assert_shared_by(&custom, Layer::kind);
     }
 
     #[test]

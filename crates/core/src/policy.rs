@@ -226,9 +226,11 @@ impl Policy {
         self.num_gpu_batches
     }
 
-    /// Sequences served per pipeline pass.
+    /// Sequences served per pipeline pass, saturating at `u32::MAX`:
+    /// [`crate::server::Server::new`] rejects a policy whose product
+    /// would not fit.
     pub fn effective_batch(&self) -> u32 {
-        self.batch_size * self.num_gpu_batches
+        self.batch_size.saturating_mul(self.num_gpu_batches)
     }
 
     /// Whether the KV cache lives on the host tier.

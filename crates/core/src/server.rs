@@ -58,14 +58,24 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`HelmError::NoDiskTier`] when the policy targets storage the
-    /// configuration lacks; [`HelmError::CapacityExceeded`] when a
-    /// tier overflows.
+    /// [`HelmError::InvalidConfig`] when the batch size times the GPU
+    /// batch count overflows `u32`; [`HelmError::NoDiskTier`] when the
+    /// policy targets storage the configuration lacks;
+    /// [`HelmError::CapacityExceeded`] when a tier overflows.
     pub fn new(
         system: SystemConfig,
         model: ModelConfig,
         policy: Policy,
     ) -> Result<Self, HelmError> {
+        if policy
+            .batch_size()
+            .checked_mul(policy.num_gpu_batches())
+            .is_none()
+        {
+            return Err(HelmError::InvalidConfig(
+                "the batch size times the GPU batch count exceeds u32::MAX",
+            ));
+        }
         let mut placement = ModelPlacement::compute(&model, &policy);
         // HeLM's GPU-resident share (FC1 of every block) may not fit
         // at all for large uncompressed models; its capacity fallback

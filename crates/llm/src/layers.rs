@@ -10,6 +10,7 @@
 use crate::config::ModelConfig;
 use crate::weights::{DType, WeightSpec};
 use simcore::units::ByteSize;
+use std::sync::Arc;
 
 /// The four layer classes in FlexGen's flattened model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,18 +61,21 @@ pub struct Layer {
     kind: LayerKind,
     index: usize,
     block: Option<usize>,
-    config: ModelConfig,
+    /// Shared by every layer of one [`Layer::sequence`]; `Arc`'s
+    /// `Debug` and `PartialEq` read through to the config.
+    config: Arc<ModelConfig>,
 }
 
 impl Layer {
     /// The full layer sequence for `config`.
     pub fn sequence(config: &ModelConfig) -> Vec<Layer> {
+        let shared = Arc::new(config.clone());
         let mut layers = Vec::with_capacity(config.num_layers());
         layers.push(Layer {
             kind: LayerKind::InputEmbed,
             index: 0,
             block: None,
-            config: config.clone(),
+            config: Arc::clone(&shared),
         });
         for b in 0..config.num_blocks() {
             for kind in [LayerKind::Mha, LayerKind::Ffn] {
@@ -79,7 +83,7 @@ impl Layer {
                     kind,
                     index: layers.len(),
                     block: Some(b),
-                    config: config.clone(),
+                    config: Arc::clone(&shared),
                 });
             }
         }
@@ -87,7 +91,7 @@ impl Layer {
             kind: LayerKind::OutputEmbed,
             index: layers.len(),
             block: None,
-            config: config.clone(),
+            config: shared,
         });
         layers
     }
@@ -215,6 +219,16 @@ mod tests {
         let ffn = &layers[2];
         let ratio = ffn.matmul_flops(128) / mha.matmul_flops(128);
         assert!((ratio - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_sequence_shares_one_config() {
+        let cfg = ModelConfig::opt_175b();
+        let layers = Layer::sequence(&cfg);
+        assert_eq!(*layers[0].config, cfg);
+        assert!(layers
+            .iter()
+            .all(|l| Arc::ptr_eq(&l.config, &layers[0].config)));
     }
 
     #[test]

@@ -347,6 +347,77 @@ fn arrival_instants_past_f64_are_a_typed_error() {
     );
 }
 
+/// A batch size times a GPU batch count past `u32::MAX` used to wrap:
+/// 65536 × 65536 built a server with an effective batch of 0, whose
+/// offline report served nothing and whose cluster lost every
+/// request. Every path that builds a server refuses it now, and the
+/// largest product that fits still builds, for the batch check to
+/// reject at run time.
+#[test]
+fn batch_products_past_u32_are_a_typed_error() {
+    let model = ModelConfig::opt_1_3b();
+    let memory = HostMemoryConfig::dram();
+    let system = SystemConfig::paper_platform(memory.clone());
+    let policy = Policy::paper_default(&model, memory.kind()).with_placement(PlacementKind::Helm);
+    let workload = WorkloadSpec::new(32, 3, 1);
+    let build = |batch: u32, gpu_batches: u32| {
+        Server::new(
+            system.clone(),
+            model.clone(),
+            policy
+                .clone()
+                .with_batch_size(batch)
+                .with_gpu_batches(gpu_batches),
+        )
+    };
+
+    // The offline path.
+    for (batch, gpu_batches) in [(65536, 65536), (65536, 65537), (u32::MAX, 2), (2, u32::MAX)] {
+        assert_invalid_config(
+            build(batch, gpu_batches),
+            &format!("{batch} x {gpu_batches}"),
+        );
+    }
+    let widest = build(65537, 65535).expect("65537 x 65535 is u32::MAX");
+    assert_eq!(widest.policy().effective_batch(), u32::MAX);
+    assert!(matches!(
+        widest.run(&workload),
+        Err(HelmError::BatchTooLarge {
+            requested: u32::MAX,
+            ..
+        })
+    ));
+
+    // The cluster path: `--mix` groups and plan templates are
+    // reconfigured copies of one server.
+    let base = build(1, 65536).expect("65536 fits");
+    for placement in [
+        PlacementKind::Helm,
+        PlacementKind::AllCpu,
+        PlacementKind::Baseline,
+    ] {
+        assert_invalid_config(
+            base.reconfigured(placement, 65536),
+            &format!("reconfigured {placement}"),
+        );
+    }
+
+    // The planner: the HeLM and baseline templates run at the base
+    // server's effective batch.
+    let space = PlanSpace::for_server(&base, &workload).expect("plan space");
+    assert_invalid_config(
+        plan(
+            &base,
+            &workload,
+            &TrafficSpec::new(1.0, 20, 7),
+            PlanTarget::attainment(0.9),
+            &space,
+            SearchBudget::default(),
+        ),
+        "plan",
+    );
+}
+
 /// A zero-capacity reservoir accepts (and discards) samples without
 /// panicking, and reports `None` percentiles rather than fabricating
 /// a number.

@@ -193,3 +193,87 @@ fn compression_does_not_change_baseline_opt175b_split_much() {
         assert!((x - y).abs() < 0.1, "{a:?} vs {b:?}");
     }
 }
+
+/// 64-bit FNV-1a over everything written into it, so a placement's
+/// `Debug` rendering is hashed as it is formatted, without building
+/// the string.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Every placement constructor, pinned as the FNV-1a of the `Debug`
+/// renderings of the placements it builds for one model, in a fixed
+/// order: `compute` and `compute_helm_demoted` for each kind with
+/// compression off and on, the SSD default policy, pinned prefixes of
+/// 0, 1, half and all blocks, and two custom points. The rendering
+/// holds every layer and every tensor's tier, so any change to how a
+/// placement is built must reproduce it bit for bit.
+#[test]
+fn placements_are_pinned_bit_for_bit() {
+    use std::fmt::Write;
+    let cases: [(fn() -> ModelConfig, u64); 10] = [
+        (ModelConfig::opt_125m, 0x00cb_4775_ac3d_b2f1),
+        (ModelConfig::opt_1_3b, 0xdeb0_e10d_7c4f_47ac),
+        (ModelConfig::opt_6_7b, 0xeb54_0bee_3277_b6ac),
+        (ModelConfig::opt_13b, 0x1889_9c00_7fda_90ea),
+        (ModelConfig::opt_30b, 0xd915_5f42_e2e9_404e),
+        (ModelConfig::opt_66b, 0x6852_7c29_dcf7_1f2e),
+        (ModelConfig::opt_175b, 0x753b_2604_6ef5_f9dd),
+        (ModelConfig::llama_2_7b, 0x7982_6124_ba02_a835),
+        (ModelConfig::llama_2_70b, 0xce58_62da_1766_d743),
+        (ModelConfig::llama_3_8b, 0x57b1_a8dd_5047_8ff3),
+    ];
+    let mut mismatches = Vec::new();
+    for (preset, digest) in cases {
+        let model = preset();
+        let mut placements = Vec::new();
+        for kind in [
+            PlacementKind::Baseline,
+            PlacementKind::Helm,
+            PlacementKind::AllCpu,
+        ] {
+            for compressed in [false, true] {
+                let policy = Policy::paper_default(&model, MemoryConfigKind::NvDram)
+                    .with_placement(kind)
+                    .with_compression(compressed);
+                placements.push(ModelPlacement::compute(&model, &policy));
+                placements.push(ModelPlacement::compute_helm_demoted(&model, &policy));
+            }
+        }
+        let ssd = Policy::paper_default(&model, MemoryConfigKind::Ssd);
+        placements.push(ModelPlacement::compute(&model, &ssd));
+        let blocks = model.num_blocks();
+        for pinned in [0, 1, blocks / 2, blocks] {
+            placements.push(ModelPlacement::compute_pinned_prefix(&model, true, pinned));
+        }
+        placements.push(ModelPlacement::compute_custom(
+            &model,
+            false,
+            [37.0, 33.0, 30.0],
+            [61.0, 9.0, 30.0],
+            [0.0, 50.0, 50.0],
+        ));
+        placements.push(ModelPlacement::compute_custom(
+            &model,
+            true,
+            [10.0, 90.0, 0.0],
+            [30.0, 70.0, 0.0],
+            [0.0, 100.0, 0.0],
+        ));
+        let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+        for p in &placements {
+            write!(hash, "{p:?}").expect("hashing cannot fail");
+        }
+        if hash.0 != digest {
+            mismatches.push(format!("{}: {:#018x}", model.name(), hash.0));
+        }
+    }
+    assert!(mismatches.is_empty(), "digests moved: {mismatches:#?}");
+}

@@ -3,10 +3,11 @@
 //! model shapes.
 
 use helm_core::placement::{
-    baseline_init_weight_list, helm_init_weight_list, ModelPlacement, PlacementKind, Tier,
+    baseline_init_weight_list, helm_init_weight_list, ModelPlacement, PlacedWeight, PlacementKind,
+    Tier,
 };
 use helm_core::policy::{PercentDist, Policy};
-use llm::layers::LayerKind;
+use llm::layers::{Layer, LayerKind};
 use llm::weights::{DType, WeightSpec};
 use llm::ModelConfig;
 use proptest::prelude::*;
@@ -27,8 +28,81 @@ fn model_strategy() -> impl Strategy<Value = ModelConfig> {
     })
 }
 
+/// The placement algorithm written out layer by layer: derive each
+/// layer's specs and run the allocator on them, with no sharing
+/// between layers. The library builds each layer kind's list once and
+/// shares it; this oracle is what that list must equal for every
+/// layer. HeLM's demoted FFN goes through `helm_init_weight_list` with
+/// an embedding kind, whose (GPU, host, storage) split is the policy's
+/// (disk, cpu, gpu) one reversed: all host here.
+fn per_layer_oracle(
+    model: &ModelConfig,
+    policy: &Policy,
+    demote_ffn: bool,
+) -> Vec<(Layer, Vec<PlacedWeight>)> {
+    let dtype = policy.weight_dtype();
+    Layer::sequence(model)
+        .into_iter()
+        .map(|layer| {
+            let specs = layer.weight_specs();
+            let tiers = match policy.placement() {
+                PlacementKind::Baseline => {
+                    baseline_init_weight_list(&specs, policy.dist().as_array(), dtype)
+                }
+                PlacementKind::Helm if demote_ffn && layer.kind() == LayerKind::Ffn => {
+                    helm_init_weight_list(&specs, LayerKind::InputEmbed, [0.0, 100.0, 0.0], dtype)
+                }
+                PlacementKind::Helm => {
+                    helm_init_weight_list(&specs, layer.kind(), policy.dist().as_array(), dtype)
+                }
+                PlacementKind::AllCpu => vec![Tier::Cpu; specs.len()],
+            };
+            let weights = specs
+                .into_iter()
+                .zip(tiers)
+                .map(|(spec, tier)| PlacedWeight { spec, tier })
+                .collect();
+            (layer, weights)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `compute` and `compute_helm_demoted` equal the per-layer oracle
+    /// layer by layer, by `==` and by `Debug` rendering.
+    #[test]
+    fn placement_matches_the_per_layer_oracle(
+        dist in dist_strategy(),
+        model in model_strategy(),
+        compressed in any::<bool>(),
+        kind_sel in 0u8..3,
+    ) {
+        let kind = match kind_sel {
+            0 => PlacementKind::Baseline,
+            1 => PlacementKind::Helm,
+            _ => PlacementKind::AllCpu,
+        };
+        let policy = Policy::new(dist, kind, compressed, 1);
+        for demote_ffn in [false, true] {
+            let placement = if demote_ffn {
+                ModelPlacement::compute_helm_demoted(&model, &policy)
+            } else {
+                ModelPlacement::compute(&model, &policy)
+            };
+            let oracle = per_layer_oracle(&model, &policy, demote_ffn);
+            prop_assert_eq!(placement.layers().len(), oracle.len());
+            for (lp, (layer, weights)) in placement.layers().iter().zip(&oracle) {
+                prop_assert_eq!(lp.layer(), layer);
+                prop_assert_eq!(lp.weights(), &weights[..]);
+                prop_assert_eq!(
+                    format!("{lp:?}"),
+                    format!("LayerPlacement {{ layer: {layer:?}, weights: {weights:?} }}")
+                );
+            }
+        }
+    }
 
     /// Every weight is placed on exactly one tier; bytes are conserved.
     #[test]
