@@ -1,88 +1,14 @@
 //! Exports the raw data behind every figure as CSV files, mirroring
 //! the paper artifact's `output/` directory ("The raw data used for
 //! the figures in this paper can be found in `output/` directory").
+//! The rows come from [`bench::figure_data`]; this binary only writes
+//! them.
 //!
 //! ```text
 //! cargo run -p bench --release --bin export_data [-- <out_dir>]
 //! ```
 
-use bench::run_serving;
-use helm_core::metrics::{RunReport, Stage};
-use helm_core::placement::PlacementKind;
-use hetmem::HostMemoryConfig;
-use llm::layers::LayerKind;
-use llm::ModelConfig;
-use std::fmt::Write as _;
 use std::path::Path;
-use workload::WorkloadSpec;
-use xfer::nvbandwidth;
-use xfer::path::PathModel;
-
-fn write(dir: &Path, name: &str, contents: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let path = dir.join(name);
-    std::fs::write(&path, contents).map_err(|e| format!("writing {path:?}: {e}"))?;
-    println!(
-        "wrote {} ({} lines)",
-        path.display(),
-        contents.lines().count()
-    );
-    Ok(())
-}
-
-fn fig3(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
-    let points = nvbandwidth::sweep(&PathModel::paper_system());
-    let mut csv = String::from("direction,memory,node,buffer_bytes,gbps\n");
-    for p in &points {
-        let _ = writeln!(
-            csv,
-            "{:?},{},{},{},{:.4}",
-            p.direction,
-            p.memory.label(),
-            p.node,
-            p.buffer.as_u64(),
-            p.gbps
-        );
-    }
-    write(dir, "fig3_bandwidth.csv", &csv)
-}
-
-fn serving_rows(runs: &[(&str, RunReport)]) -> String {
-    let mut csv = String::from("config,placement,batch,compressed,ttft_ms,tbt_ms,tokens_per_s\n");
-    for (label, r) in runs {
-        let _ = writeln!(
-            csv,
-            "{label},{},{},{},{:.3},{:.3},{:.5}",
-            r.placement,
-            r.batch,
-            r.compressed,
-            r.ttft_ms(),
-            r.tbt_ms(),
-            r.throughput_tps()
-        );
-    }
-    csv
-}
-
-fn overlap_rows(runs: &[(&str, RunReport)]) -> String {
-    let mut csv = String::from(
-        "config,placement,batch,stage,mha_compute_ms,ffn_compute_ms,mha_load_ms,ffn_load_ms\n",
-    );
-    for (label, r) in runs {
-        for stage in [Stage::Prefill, Stage::Decode] {
-            let _ = writeln!(
-                csv,
-                "{label},{},{},{stage},{:.4},{:.4},{:.4},{:.4}",
-                r.placement,
-                r.batch,
-                r.avg_compute(stage, LayerKind::Mha).as_millis(),
-                r.avg_compute(stage, LayerKind::Ffn).as_millis(),
-                r.avg_weight_transfer(stage, LayerKind::Mha).as_millis(),
-                r.avg_weight_transfer(stage, LayerKind::Ffn).as_millis(),
-            );
-        }
-    }
-    csv
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = std::env::args()
@@ -90,96 +16,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "output".to_owned());
     let dir = Path::new(&out);
     std::fs::create_dir_all(dir)?;
-    let ws = WorkloadSpec::paper_default();
-
-    fig3(dir)?;
-
-    // Fig 4: uncompressed serving matrix.
-    let mut runs = Vec::new();
-    for (model, batches, configs) in [
-        (
-            ModelConfig::opt_30b(),
-            vec![1u32, 32],
-            HostMemoryConfig::opt30b_set(),
-        ),
-        (
-            ModelConfig::opt_175b(),
-            vec![1, 8],
-            HostMemoryConfig::opt175b_set(),
-        ),
-    ] {
-        for batch in batches {
-            for cfg in &configs {
-                let label = format!("{}-{}", model.name(), cfg.kind());
-                let report = run_serving(
-                    model.clone(),
-                    cfg.clone(),
-                    PlacementKind::Baseline,
-                    false,
-                    batch,
-                    &ws,
-                )?;
-                runs.push((label, report));
-            }
-        }
-    }
-    let borrowed: Vec<(&str, RunReport)> =
-        runs.iter().map(|(l, r)| (l.as_str(), r.clone())).collect();
-    write(dir, "fig4_serving.csv", &serving_rows(&borrowed))?;
-    write(dir, "fig5_overlap.csv", &overlap_rows(&borrowed))?;
-
-    // Figs 6-12: the compressed OPT-175B study.
-    let mut runs = Vec::new();
-    for (cfg, placement, batch) in [
-        (HostMemoryConfig::nvdram(), PlacementKind::Baseline, 1u32),
-        (HostMemoryConfig::nvdram(), PlacementKind::Baseline, 8),
-        (HostMemoryConfig::nvdram(), PlacementKind::Helm, 1),
-        (HostMemoryConfig::nvdram(), PlacementKind::AllCpu, 1),
-        (HostMemoryConfig::nvdram(), PlacementKind::AllCpu, 8),
-        (HostMemoryConfig::nvdram(), PlacementKind::AllCpu, 44),
-        (HostMemoryConfig::memory_mode(), PlacementKind::Baseline, 1),
-        (HostMemoryConfig::memory_mode(), PlacementKind::Helm, 1),
-        (HostMemoryConfig::memory_mode(), PlacementKind::AllCpu, 44),
-        (HostMemoryConfig::dram(), PlacementKind::Baseline, 1),
-        (HostMemoryConfig::dram(), PlacementKind::Helm, 1),
-        (HostMemoryConfig::dram(), PlacementKind::AllCpu, 44),
-    ] {
-        let label = cfg.kind().to_string();
-        let report = run_serving(ModelConfig::opt_175b(), cfg, placement, true, batch, &ws)?;
-        runs.push((label, report));
-    }
-    let borrowed: Vec<(&str, RunReport)> =
-        runs.iter().map(|(l, r)| (l.as_str(), r.clone())).collect();
-    write(dir, "fig11_12_serving.csv", &serving_rows(&borrowed))?;
-    write(dir, "fig11_12_overlap.csv", &overlap_rows(&borrowed))?;
-
-    // Fig 7a: the sawtooth, per-layer load latencies.
-    let baseline = &borrowed[0].1;
-    let mut csv = String::from("layer_index,load_ms\n");
-    for (layer, load) in baseline.decode_load_profile() {
-        let _ = writeln!(csv, "{layer},{:.4}", load.as_millis());
-    }
-    write(dir, "fig7a_sawtooth.csv", &csv)?;
-
-    // Table IV / Fig 13: projections.
-    let rows = helm_core::projection::table_iv(&ws)?;
-    let mut csv = String::from(
-        "policy,batch,stage,config,mha_compute_over_ffn_load,ffn_compute_over_mha_load\n",
-    );
-    for r in &rows {
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{:.4},{:.4}",
-            r.policy,
-            r.batch,
-            r.stage,
-            r.config,
-            r.mha_compute_over_ffn_load,
-            r.ffn_compute_over_mha_load
+    for (name, contents) in bench::figure_data()? {
+        let path = dir.join(name);
+        std::fs::write(&path, &contents).map_err(|e| format!("writing {path:?}: {e}"))?;
+        println!(
+            "wrote {} ({} lines)",
+            path.display(),
+            contents.lines().count()
         );
     }
-    write(dir, "table4_overlap.csv", &csv)?;
-
     println!("\nAll figure data exported to {}/", dir.display());
     Ok(())
 }

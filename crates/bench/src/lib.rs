@@ -1,9 +1,11 @@
 //! # bench — experiment harnesses
 //!
 //! One binary per table and figure of the paper (see `src/bin/`),
-//! plus criterion microbenchmarks of the simulator itself (`benches/`).
-//! This library holds the shared plumbing: convenience runners over
-//! the serving stack and paper-vs-measured report formatting.
+//! plus the host-time benchmarks of the simulator itself (`bench_des`,
+//! `bench_pipeline`, `bench_planner` and `bench_e2e`). This library
+//! holds the shared plumbing: convenience runners over the serving
+//! stack, paper-vs-measured report formatting, and the figure data
+//! that `export_data` writes and a test pins to `output/`.
 //!
 //! Run everything with:
 //!
@@ -20,6 +22,9 @@ use helm_core::HelmError;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use workload::WorkloadSpec;
+
+mod figures;
+pub use figures::figure_data;
 
 /// Builds and runs one serving configuration with the paper-default
 /// distribution for the model/memory pair.

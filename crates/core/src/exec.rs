@@ -31,7 +31,7 @@ use llm::ModelConfig;
 use simaudit::Auditor;
 use simcore::stats::SeriesStats;
 use simcore::time::{SimDuration, SimTime};
-use simcore::trace::{duration_ticks, time_ticks, TraceSpan};
+use simcore::trace::{duration_ticks, TraceSpan};
 use simcore::units::{Bandwidth, ByteSize};
 use workload::WorkloadSpec;
 use xfer::link::CappedLink;
@@ -56,7 +56,7 @@ pub struct PipelineInputs<'a> {
 }
 
 /// Name of a tier for error reporting.
-pub(crate) fn tier_name(tier: Tier) -> &'static str {
+fn tier_name(tier: Tier) -> &'static str {
     match tier {
         Tier::Gpu => "gpu",
         Tier::Cpu => "cpu",
@@ -120,11 +120,11 @@ enum DecodeCompute {
 /// Per-stage KV write-back costs under `kv_offload` (`new_tokens` is
 /// `prompt_len` at prefill, 1 at decode — both token-invariant).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WritebackCost {
+struct WritebackCost {
     /// D2H payload of one MHA step.
-    pub(crate) bytes: ByteSize,
+    bytes: ByteSize,
     /// Full standalone write-back time.
-    pub(crate) time: SimDuration,
+    time: SimDuration,
 }
 
 /// Everything about a pipeline run that does not depend on the token
@@ -136,11 +136,8 @@ pub(crate) struct WritebackCost {
 /// split and its capped-link water-filling), per-layer offloaded H2D
 /// byte counts, the KV write-back cost of each stage, and all decode
 /// compute except the attention GEMM — which is cached as
-/// coefficients of the context length (`DecodeCompute`). Both
-/// executors ([`run_pipeline_with`],
-/// [`crate::exec_des::run_pipeline_des_with`]) consume the same
-/// table; the DES prices its own weight and write-back flows once per
-/// run, so analytic-only callers never pay for them.
+/// coefficients of the context length (`DecodeCompute`).
+/// [`run_pipeline_with`] consumes it.
 ///
 /// The table holds one entry per layer but prices each distinct layer
 /// once. Compute (prefill and decode) is priced once per
@@ -149,7 +146,7 @@ pub(crate) struct WritebackCost {
 /// shape. [`load_time`] is priced once per distinct (cpu bytes, disk
 /// bytes) split, the only part of the layer it reads. Earlier prices
 /// are found among the entries already built, with no side map. The
-/// executors price each kind's compute, through the first layer of
+/// executor prices each kind's compute, through the first layer of
 /// that kind, and the KV stream into an MHA layer once per token.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
@@ -199,11 +196,11 @@ fn kind_slot(kind: LayerKind) -> usize {
 /// micro-batch scaling included — what
 /// [`LayerCostTable::token_compute`] prices once per token.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TokenCompute([SimDuration; KINDS]);
+struct TokenCompute([SimDuration; KINDS]);
 
 impl TokenCompute {
     /// The compute of one step of a `kind` layer.
-    pub(crate) fn of(&self, kind: LayerKind) -> SimDuration {
+    fn of(&self, kind: LayerKind) -> SimDuration {
         self.0[kind_slot(kind)]
     }
 }
@@ -295,7 +292,7 @@ impl LayerCostTable {
         self.layers.len()
     }
 
-    pub(crate) fn kind(&self, j: usize) -> LayerKind {
+    fn kind(&self, j: usize) -> LayerKind {
         self.layers[j].kind
     }
 
@@ -304,19 +301,15 @@ impl LayerCostTable {
         self.layers[j].load
     }
 
-    pub(crate) fn offloaded_bytes(&self, j: usize) -> ByteSize {
+    fn offloaded_bytes(&self, j: usize) -> ByteSize {
         self.layers[j].offloaded
     }
 
-    pub(crate) fn writeback(&self, stage: Stage) -> Option<&WritebackCost> {
+    fn writeback(&self, stage: Stage) -> Option<&WritebackCost> {
         self.writeback.as_ref().map(|wb| match stage {
             Stage::Prefill => &wb[0],
             Stage::Decode => &wb[1],
         })
-    }
-
-    pub(crate) fn cpu_ws(&self) -> ByteSize {
-        self.cpu_ws
     }
 
     /// The KV stream into an MHA layer at pipeline step (`stage`,
@@ -324,9 +317,9 @@ impl LayerCostTable {
     /// [`Layer::kv_read_bytes`] at the policy's effective batch — and
     /// the rate they stream at. `None` when nothing streams: without
     /// `kv_offload`, or at prefill, before any cache exists. Every MHA
-    /// layer streams the same cache at one token, so the executors
-    /// price it once per token.
-    pub(crate) fn kv_stream(
+    /// layer streams the same cache at one token, so the executor
+    /// prices it once per token.
+    fn kv_stream(
         &self,
         inp: &PipelineInputs<'_>,
         stage: Stage,
@@ -387,14 +380,8 @@ impl LayerCostTable {
     /// (`stage`, `token`) on `micro` GPU batches: what
     /// [`LayerCostTable::compute_time`] times `micro` gives every layer
     /// of that kind. Compute depends only on the kind, the stage and
-    /// the token, so the executors price it once per token.
-    pub(crate) fn token_compute(
-        &self,
-        gpu: &GpuSpec,
-        stage: Stage,
-        token: usize,
-        micro: u32,
-    ) -> TokenCompute {
+    /// the token, so the executor prices it once per token.
+    fn token_compute(&self, gpu: &GpuSpec, stage: Stage, token: usize, micro: u32) -> TokenCompute {
         // Micro-batching amortizes one weight load across several GPU
         // batches (FlexGen's block schedule).
         let micro = f64::from(micro);
@@ -455,7 +442,8 @@ fn decode_compute(inp: &PipelineInputs<'_>, layer: &Layer) -> DecodeCompute {
     }
 }
 
-/// Streaming critical-path attribution for the offline executors.
+/// Streaming critical-path attribution for the offline executor and
+/// its seed evaluator.
 ///
 /// Each closed pipeline segment — the fill, then one entry per
 /// `max(compute, load, writeback) + sync` step — ends at a boundary
@@ -464,25 +452,16 @@ fn decode_compute(inp: &PipelineInputs<'_>, layer: &Layer) -> DecodeCompute {
 /// exactly. The tracker reads only durations the executor already
 /// computed, so running it unconditionally perturbs nothing.
 #[derive(Default)]
-pub(crate) struct StepAttribution {
+struct StepAttribution {
     att: Attribution,
-    pub(crate) prev: u64,
+    prev: u64,
 }
 
 impl StepAttribution {
     /// Closes the segment ending at `elapsed`; returns its tick
     /// bounds for span emission.
-    pub(crate) fn close(&mut self, elapsed: SimDuration, transfer_bound: bool) -> (u64, u64) {
-        self.close_ticks(duration_ticks(elapsed), transfer_bound)
-    }
-
-    /// [`StepAttribution::close`] against an absolute instant (the
-    /// DES executor tracks `SimTime`, not elapsed durations).
-    pub(crate) fn close_at(&mut self, at: SimTime, transfer_bound: bool) -> (u64, u64) {
-        self.close_ticks(time_ticks(at), transfer_bound)
-    }
-
-    fn close_ticks(&mut self, now: u64, transfer_bound: bool) -> (u64, u64) {
+    fn close(&mut self, elapsed: SimDuration, transfer_bound: bool) -> (u64, u64) {
+        let now = duration_ticks(elapsed);
         let seg = u128::from(now - self.prev);
         if transfer_bound {
             self.att.transfer_ticks += seg;
@@ -494,7 +473,7 @@ impl StepAttribution {
         (start, now)
     }
 
-    pub(crate) fn finish(mut self) -> Attribution {
+    fn finish(mut self) -> Attribution {
         self.att.total_ticks = u128::from(self.prev);
         self.att
     }
@@ -888,11 +867,12 @@ pub fn run_pipeline_reference(inp: &PipelineInputs<'_>) -> Result<RunReport, Hel
     })
 }
 
-/// Feasibility checks shared by both executors: the achieved percent
-/// split sums to 100 and no tier holds more weight bytes than it has
-/// capacity (the `run_unchecked` path skips server-side validation,
-/// so the auditor re-derives it at execution time).
-pub(crate) fn audit_placement_feasibility(audit: &mut Auditor, inp: &PipelineInputs<'_>) {
+/// Feasibility checks shared by the executor and its seed evaluator:
+/// the achieved percent split sums to 100 and no tier holds more
+/// weight bytes than it has capacity (the `run_unchecked` path skips
+/// server-side validation, so the auditor re-derives it at execution
+/// time).
+fn audit_placement_feasibility(audit: &mut Auditor, inp: &PipelineInputs<'_>) {
     if !audit.is_active() {
         return;
     }
@@ -967,8 +947,8 @@ pub fn load_time(
 
 /// The host and storage portions of one layer's offloaded weights as
 /// `(tier, bytes, tier working set)`, cpu first, empty tiers skipped
-/// — what [`load_time`] and the DES executor's weight flows stream.
-pub(crate) fn tier_portions(
+/// — what [`load_time`] streams.
+fn tier_portions(
     lp: &LayerPlacement,
     dtype: DType,
     cpu_ws: ByteSize,
@@ -984,7 +964,7 @@ pub(crate) fn tier_portions(
 
 /// One portion priced as a capped stream: its tier's rate cap and the
 /// fixed (non-streaming) share of its standalone transfer time.
-pub(crate) fn stream_price(
+fn stream_price(
     inp: &PipelineInputs<'_>,
     tier: Tier,
     bytes: ByteSize,

@@ -51,7 +51,6 @@ pub mod autoplace;
 pub mod energy;
 pub mod error;
 pub mod exec;
-pub mod exec_des;
 pub mod metrics;
 pub mod online;
 pub mod placement;

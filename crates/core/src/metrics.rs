@@ -54,15 +54,12 @@ pub struct LayerStepRecord {
     pub d2h_bytes: ByteSize,
     /// Wall-clock of the step: `max(compute, load_next, writeback) +
     /// sync`, where `writeback` is the KV write-back of an MHA step
-    /// under KV offloading (zero otherwise). The discrete-event
-    /// executor overlaps write-backs with later steps, so its
-    /// `writeback` term is only the stall until the previous
-    /// write-back drains.
+    /// under KV offloading (zero otherwise).
     pub step: SimDuration,
 }
 
 /// Run-wide aggregates over a pipeline's steps, accumulated by the
-/// executors in step order — the same order the per-step record sums
+/// executor in step order — the same order the per-step record sums
 /// used to run in, so the totals are bit-identical whether or not the
 /// records themselves are materialized
 /// ([`crate::exec::RecordMode::Aggregate`] drops them).

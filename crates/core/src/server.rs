@@ -335,20 +335,6 @@ impl Server {
         run_pipeline_with(&inputs, &LayerCostTable::build(&inputs)?, mode)
     }
 
-    /// Runs the serving pipeline on the discrete-event executor
-    /// ([`crate::exec_des`]): inbound streams water-fill the PCIe
-    /// link and KV write-backs ride the full-duplex return path
-    /// asynchronously. Agrees exactly with [`Server::run`] when
-    /// neither relaxation applies.
-    ///
-    /// # Errors
-    ///
-    /// [`HelmError::BatchTooLarge`] as for [`Server::run`].
-    pub fn run_des(&self, workload: &WorkloadSpec) -> Result<RunReport, HelmError> {
-        let placement = self.checked_placement(&self.policy, workload)?;
-        crate::exec_des::run_pipeline_des(&self.inputs(&self.policy, &placement, workload))
-    }
-
     /// Runs the pipeline without the GPU-memory batch check (the
     /// capacity-aware HeLM fallback still applies). Useful for
     /// projections probing configurations right at the capacity edge;

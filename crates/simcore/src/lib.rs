@@ -9,9 +9,6 @@
 //! * [`EventQueue`] — a deterministic binary-heap priority queue of
 //!   timestamped events (FIFO among equal timestamps), and the
 //!   [`SimError`] faults a loop driving it reports.
-//! * [`FlowScheduler`] — an analytic processor-sharing model of a
-//!   bandwidth-limited resource (a PCIe link, a memory channel) serving
-//!   concurrent flows.
 //! * [`stats`] — statistic accumulators implementing the paper's
 //!   "arithmetic mean discarding the first sample" metric rule.
 //! * [`rng`] — deterministic, splittable random-number helpers.
@@ -38,7 +35,6 @@
 //! ```
 
 pub mod audit;
-pub mod flow;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -46,7 +42,6 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use flow::{FlowId, FlowScheduler};
 pub use queue::{EventQueue, SimError};
 pub use stats::{Accumulator, Reservoir, SeriesStats};
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,10 @@
 //! Deterministic, splittable random-number helpers.
 //!
-//! Every stochastic element of the simulator (workload lengths, jitter
-//! models) draws from a [`SimRng`] derived from a master seed plus a
-//! stream label, so independent subsystems can be reordered without
-//! perturbing each other's draws and whole runs replay bit-identically.
+//! Every stochastic element of the simulator (arrival times, deadline
+//! mixes, reservoir samples) draws from a [`SimRng`] derived from a
+//! master seed plus a stream label, so independent subsystems can be
+//! reordered without perturbing each other's draws and whole runs
+//! replay bit-identically.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,13 +62,6 @@ impl SimRng {
         assert!(lo <= hi, "empty range");
         self.inner.gen_range(lo..=hi)
     }
-
-    /// Normal sample via Box–Muller.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.inner.gen();
-        mean + std_dev * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
 }
 
 #[cfg(test)]
@@ -107,12 +101,5 @@ mod tests {
             let v = rng.uniform_usize(3, 9);
             assert!((3..=9).contains(&v));
         }
-    }
-
-    #[test]
-    fn normal_has_roughly_right_mean() {
-        let mut rng = SimRng::from_seed_and_stream(1, "n");
-        let mean: f64 = (0..10_000).map(|_| rng.normal(5.0, 2.0)).sum::<f64>() / 10_000.0;
-        assert!((mean - 5.0).abs() < 0.1, "mean drifted: {mean}");
     }
 }

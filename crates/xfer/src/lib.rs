@@ -8,7 +8,8 @@
 //!   (optional DRAM bounce buffer) → PCIe → GPU, including the NUMA
 //!   and mesh-contention effects behind the paper's Fig 3 asymmetries.
 //! * [`link`] — a water-filling shared-link model for concurrent
-//!   transfers with per-flow rate caps (the DES-facing resource).
+//!   transfers with per-flow rate caps, which prices a layer's split
+//!   cpu/disk weight load.
 //! * [`nvbandwidth`] — an `nvbandwidth`-style sweep harness that
 //!   regenerates the paper's Fig 3 bandwidth curves.
 //!

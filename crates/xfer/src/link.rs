@@ -8,9 +8,9 @@
 //! [`CappedLink`] implements *water-filling* processor sharing: link
 //! capacity is distributed fairly, and any flow whose fair share
 //! exceeds its cap is clamped, with the slack redistributed among the
-//! remaining flows. Like [`simcore::FlowScheduler`], the model is
-//! analytic — rates are piecewise constant between arrival/departure
-//! events, so the executor only needs `next_completion`.
+//! remaining flows. The model is analytic — rates are piecewise
+//! constant between arrival/departure events, so a caller only needs
+//! `next_completion`.
 
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::Bandwidth;

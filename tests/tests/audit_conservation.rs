@@ -1,11 +1,16 @@
-//! Conservation-law integration tests: for every placement policy and
-//! both executors, the simaudit byte ledgers must balance to zero
-//! outstanding bytes, the audited totals must agree with the report's
-//! own accounting, and the DES executor must move exactly the same
-//! traffic as the analytic one.
+//! Conservation-law integration tests: for every placement policy,
+//! the offline executor's simaudit byte ledgers must balance to zero
+//! outstanding bytes, and the audited totals must agree with the
+//! report's own accounting.
 //!
 //! These tests run the real `Server` pipeline, so they double as a
-//! regression net for the audit wiring in `exec.rs` / `exec_des.rs`.
+//! regression net for the audit wiring in `exec.rs`.
+//!
+//! Every test forces auditing on before its first run, so the ledgers
+//! are checked in release builds too, where auditing is otherwise
+//! off. The switch is process-wide and only turns on, so a test that
+//! set it after another test's first run would change that test's
+//! later reports; setting it first in every test rules that out.
 
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::Policy;
@@ -23,10 +28,10 @@ const POLICIES: [PlacementKind; 3] = [
     PlacementKind::AllCpu,
 ];
 
-/// Runs one policy on both executors, returning the two reports plus
-/// the pipeline-fill bytes (layer 0 streams before any step record
-/// exists, so the audit ledgers see it but the per-step totals don't).
-fn run_pair(kind: PlacementKind) -> (RunReport, RunReport, ByteSize) {
+/// Runs one policy, returning its report plus the pipeline-fill
+/// bytes (layer 0 streams before any step record exists, so the audit
+/// ledgers see it but the per-step totals don't).
+fn run_policy(kind: PlacementKind) -> (RunReport, ByteSize) {
     let model = ModelConfig::opt_175b();
     let policy = Policy::paper_default(&model, MemoryConfigKind::NvDram)
         .with_placement(kind)
@@ -39,71 +44,48 @@ fn run_pair(kind: PlacementKind) -> (RunReport, RunReport, ByteSize) {
         policy,
     )
     .expect("paper config fits");
-    let ws = WorkloadSpec::paper_default();
-    let analytic = server.run(&ws).expect("analytic run");
-    let des = server.run_des(&ws).expect("des run");
-    (analytic, des, fill)
+    let report = server.run(&WorkloadSpec::paper_default()).expect("run");
+    (report, fill)
 }
 
 #[test]
-fn ledgers_balance_for_all_policies_on_both_executors() {
-    // Audit capture is on under `debug_assertions`; the tier-1 test
-    // profile is a debug build, so reports must carry audit data.
+fn ledgers_balance_for_all_policies() {
+    simaudit::force_enable();
     for kind in POLICIES {
-        let (analytic, des, _) = run_pair(kind);
-        for (label, report) in [("analytic", &analytic), ("des", &des)] {
-            let audit = report
-                .audit
-                .as_ref()
-                .unwrap_or_else(|| panic!("{kind}/{label}: no audit report in debug build"));
-            assert!(audit.is_clean(), "{kind}/{label}:\n{audit}");
-            for (channel, ledger) in &audit.ledgers {
-                assert!(
-                    ledger.is_balanced(),
-                    "{kind}/{label}: channel {channel} left {} outstanding",
-                    ledger.outstanding()
-                );
-            }
+        let (report, _) = run_policy(kind);
+        let audit = report
+            .audit
+            .as_ref()
+            .unwrap_or_else(|| panic!("{kind}: no audit report with auditing forced on"));
+        assert!(audit.is_clean(), "{kind}:\n{audit}");
+        for (channel, ledger) in &audit.ledgers {
+            assert!(
+                ledger.is_balanced(),
+                "{kind}: channel {channel} left {} outstanding",
+                ledger.outstanding()
+            );
         }
     }
 }
 
 #[test]
 fn audited_traffic_matches_report_accounting() {
+    simaudit::force_enable();
     for kind in POLICIES {
-        let (analytic, des, fill) = run_pair(kind);
-        for (label, report) in [("analytic", &analytic), ("des", &des)] {
-            let audit = report.audit.as_ref().expect("audit in debug build");
-            let h2d = audit.delivered_with_prefix("h2d:");
-            let d2h = audit.delivered_with_prefix("d2h:");
-            assert_eq!(
-                h2d,
-                report.total_h2d_bytes() + fill,
-                "{kind}/{label}: audited h2d disagrees with the report \
-                 (per-step totals plus the layer-0 pipeline fill)"
-            );
-            assert_eq!(
-                d2h,
-                report.total_d2h_bytes(),
-                "{kind}/{label}: audited d2h disagrees with the report"
-            );
-        }
-    }
-}
-
-#[test]
-fn des_and_analytic_executors_move_identical_traffic() {
-    for kind in POLICIES {
-        let (analytic, des, _) = run_pair(kind);
+        let (report, fill) = run_policy(kind);
+        let audit = report.audit.as_ref().expect("auditing forced on");
+        let h2d = audit.delivered_with_prefix("h2d:");
+        let d2h = audit.delivered_with_prefix("d2h:");
         assert_eq!(
-            analytic.total_h2d_bytes(),
-            des.total_h2d_bytes(),
-            "{kind}: executors disagree on h2d traffic"
+            h2d,
+            report.total_h2d_bytes() + fill,
+            "{kind}: audited h2d disagrees with the report \
+             (per-step totals plus the layer-0 pipeline fill)"
         );
         assert_eq!(
-            analytic.total_d2h_bytes(),
-            des.total_d2h_bytes(),
-            "{kind}: executors disagree on d2h traffic"
+            d2h,
+            report.total_d2h_bytes(),
+            "{kind}: audited d2h disagrees with the report"
         );
     }
 }

@@ -1,18 +1,19 @@
-//! Repeated-run determinism of the discrete-event executor.
+//! Repeated-run determinism of the offline executor and the cluster
+//! engine.
 //!
-//! The DES walks `BTreeMap`s of in-flight flows, so its event order —
-//! and therefore every f64 accumulation downstream — is a pure
-//! function of its inputs. These tests pin that property the blunt
-//! way: run the same configuration several times and require the
-//! *entire* `RunReport` (TTFT, TBT samples, step records, audit
-//! ledgers) to be byte-identical, comparing the `Debug` rendering of
-//! the full report. Any hash-order leak (e.g. a `HashMap` iteration
-//! feeding a float sum) shows up as a diff here long before it would
-//! corrupt a paper figure.
+//! The offline executor accumulates every f64 in step order and the
+//! cluster engine pops its events in `(time, seq)` order, so each
+//! report is a pure function of its inputs. These tests pin that
+//! property the blunt way: run the same configuration several times
+//! and require the *entire* report (TTFT, TBT samples, step records,
+//! audit ledgers) to be byte-identical, comparing the `Debug`
+//! rendering of the full report. Any hash-order leak (e.g. a
+//! `HashMap` iteration feeding a float sum) shows up as a diff here
+//! long before it would corrupt a paper figure.
 //!
-//! CI runs this suite under `RAYON_NUM_THREADS` ∈ {1, 4}: the DES is
-//! single-threaded by design, but the matrix proves the ambient
-//! worker-pool size cannot reach its results either.
+//! CI runs this suite under `RAYON_NUM_THREADS` ∈ {1, 4}: both run on
+//! the calling thread by design, but the matrix proves the ambient
+//! worker-pool size cannot reach their results either.
 //!
 //! Every test forces auditing on before its first run, so the ledgers
 //! are compared in release builds too, where auditing is otherwise
@@ -20,8 +21,7 @@
 //! set it after another test's first run would change that test's
 //! later reports; setting it first in every test rules that out.
 
-use helm_core::exec::{PipelineInputs, RecordMode};
-use helm_core::exec_des::run_pipeline_des;
+use helm_core::exec::{run_pipeline, PipelineInputs, RecordMode};
 use helm_core::online::{
     run_cluster_mix, run_cluster_mix_traced, CalibrationCache, ClusterSpec, PoissonArrivals,
     SchedulerKind,
@@ -41,7 +41,7 @@ const REPEATS: usize = 3;
 /// ledgers — into a canonical byte string.
 fn report_bytes(inp: &PipelineInputs<'_>) -> String {
     simaudit::force_enable();
-    let report = run_pipeline_des(inp).expect("pipeline runs");
+    let report = run_pipeline(inp).expect("pipeline runs");
     // A silently missing ledger would make this test vacuous for the
     // channel-conservation half.
     assert!(report.audit.is_some(), "audit ledgers absent");
@@ -54,7 +54,7 @@ fn assert_repeats_identical(inp: &PipelineInputs<'_>) {
         let again = report_bytes(inp);
         assert_eq!(
             first, again,
-            "DES run report diverged between run 0 and run {run}"
+            "offline run report diverged between run 0 and run {run}"
         );
     }
 }
@@ -62,7 +62,7 @@ fn assert_repeats_identical(inp: &PipelineInputs<'_>) {
 /// Paper-scale configurations across every memory tier and placement
 /// kind: three identical runs each, byte-compared.
 #[test]
-fn des_reports_are_byte_identical_across_repeated_runs() {
+fn offline_reports_are_byte_identical_across_repeated_runs() {
     let model = ModelConfig::opt_175b();
     let workload = WorkloadSpec::new(32, 4, 1);
     let memories = [
@@ -258,10 +258,10 @@ fn memory_strategy() -> impl Strategy<Value = HostMemoryConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Randomized configurations: repeated DES runs must stay
+    /// Randomized configurations: repeated offline runs must stay
     /// byte-identical whatever the model/policy/memory draw.
     #[test]
-    fn des_repeated_runs_identical_on_random_configs(
+    fn offline_repeated_runs_identical_on_random_configs(
         model in small_model(),
         policy in policy_strategy(),
         memory in memory_strategy(),

@@ -11,7 +11,6 @@ use helm_core::exec::{
     run_pipeline, run_pipeline_reference, run_pipeline_with, LayerCostTable, PipelineInputs,
     RecordMode,
 };
-use helm_core::exec_des::{run_pipeline_des, run_pipeline_des_with};
 use helm_core::metrics::RunReport;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
@@ -176,7 +175,7 @@ proptest! {
     }
 
     /// `RecordMode::Aggregate` drops the record vec and changes
-    /// nothing else, for both the analytic and the DES executor.
+    /// nothing else.
     #[test]
     fn aggregate_mode_only_drops_records(
         model in small_model(),
@@ -195,15 +194,6 @@ proptest! {
         assert_aggregates_bitwise(&full, &agg);
         prop_assert!(agg.records.is_empty());
         prop_assert_eq!(full.records.len(), agg.totals.steps);
-
-        let des_full = run_pipeline_des_with(&inp, &table, RecordMode::Full).unwrap();
-        let des_agg = run_pipeline_des_with(&inp, &table, RecordMode::Aggregate).unwrap();
-        assert_aggregates_bitwise(&des_full, &des_agg);
-        prop_assert!(des_agg.records.is_empty());
-
-        // The des entry point is the same computation.
-        let des = run_pipeline_des(&inp).unwrap();
-        assert_aggregates_bitwise(&des, &des_full);
     }
 }
 

@@ -1,10 +1,7 @@
-//! Property tests over the pipeline executors: structural invariants
-//! of every run, and cross-validation between the analytic and
-//! discrete-event executors, over randomized small models and
-//! policies.
+//! Property tests over the pipeline executor: structural invariants
+//! of every run, over randomized small models and policies.
 
 use helm_core::exec::{run_pipeline, PipelineInputs, SYNC_OVERHEAD};
-use helm_core::exec_des::run_pipeline_des;
 use helm_core::placement::{ModelPlacement, PlacementKind};
 use helm_core::policy::{PercentDist, Policy};
 use helm_core::system::SystemConfig;
@@ -100,42 +97,6 @@ proptest! {
             report.tokens_generated,
             u64::from(policy.effective_batch()) * gen_len as u64
         );
-    }
-
-    /// The DES executor never reports a slower run than the analytic
-    /// one (its relaxations only overlap more), and agrees exactly
-    /// when no relaxation applies.
-    #[test]
-    fn des_cross_validation(
-        model in small_model(),
-        policy in policy_strategy(),
-        memory in memory_strategy(),
-    ) {
-        let system = SystemConfig::paper_platform(memory);
-        let placement = ModelPlacement::compute(&model, &policy);
-        let workload = WorkloadSpec::new(32, 3, 1);
-        let inputs = PipelineInputs {
-            system: &system,
-            model: &model,
-            policy: &policy,
-            placement: &placement,
-            workload: &workload,
-        };
-        let analytic = run_pipeline(&inputs).unwrap();
-        let des = run_pipeline_des(&inputs).unwrap();
-        prop_assert!(
-            des.total_time.as_secs() <= analytic.total_time.as_secs() * (1.0 + 1e-9),
-            "DES {} > analytic {}",
-            des.total_time.as_secs(),
-            analytic.total_time.as_secs()
-        );
-        prop_assert_eq!(des.total_h2d_bytes(), analytic.total_h2d_bytes());
-        prop_assert_eq!(des.total_d2h_bytes(), analytic.total_d2h_bytes());
-        if !policy.kv_offload() {
-            let rel = (des.total_time.as_secs() - analytic.total_time.as_secs()).abs()
-                / analytic.total_time.as_secs();
-            prop_assert!(rel < 1e-6, "disagreement {rel}");
-        }
     }
 
     /// Compression never increases per-layer transfer time and never
