@@ -73,9 +73,11 @@ pub enum RecordMode {
     Full,
     /// Skip the per-step record vector entirely and keep only the
     /// run-wide aggregates ([`RunReport::totals`], TTFT, TBT,
-    /// throughput, audit ledgers). This is the allocation-free mode
-    /// the autoplace engine and online calibration run in; all
-    /// aggregates are bit-identical to a [`RecordMode::Full`] run.
+    /// throughput, attribution, audit ledgers). Unless auditing is on
+    /// or spans are collected, the executor then visits each step only
+    /// in its per-token fold, never one step at a time. The autoplace
+    /// engine and online calibration run in this mode; all aggregates
+    /// are bit-identical to a [`RecordMode::Full`] run.
     Aggregate,
 }
 
@@ -145,12 +147,21 @@ struct WritebackCost {
 /// model config, so every layer of one kind in a placement has one
 /// shape. [`load_time`] is priced once per distinct (cpu bytes, disk
 /// bytes) split, the only part of the layer it reads. Earlier prices
-/// are found among the entries already built, with no side map. The
-/// executor prices each kind's compute, through the first layer of
-/// that kind, and the KV stream into an MHA layer once per token.
+/// are found among the entries already built, with no side map.
+///
+/// The table also sorts the pipeline's steps into step classes
+/// (`StepClass`): step `j` prefetches layer `j + 1` while layer `j`
+/// computes, so its price reads only layer `j`'s kind and layer
+/// `j + 1`'s kind and split. Per token, the executor prices each
+/// kind's compute (through the first layer of that kind), the KV
+/// stream into an MHA layer and then each step class once — 6 classes
+/// for OPT-175B's 194 steps — and folds the steps over those prices.
 #[derive(Debug, Clone)]
 pub struct LayerCostTable {
     layers: Vec<LayerCosts>,
+    /// Every step class, indexed by `LayerCosts::class`; the last is
+    /// the run's final step, where nothing streams.
+    classes: Vec<StepClass>,
     /// The first layer of each [`LayerKind`], by [`kind_slot`]; `None`
     /// for a kind the placement has no layer of.
     kind_layer: [Option<usize>; KINDS],
@@ -167,17 +178,87 @@ pub struct LayerCostTable {
 #[derive(Debug, Clone)]
 struct LayerCosts {
     kind: LayerKind,
+    /// The step class of this layer's step, except the run's final
+    /// step (an index into `LayerCostTable::classes`).
+    class: usize,
     /// Transfer time of this layer's offloaded weights.
     load: SimDuration,
     /// Host-resident weight bytes (audit ledger `h2d:cpu`).
     cpu_bytes: ByteSize,
     /// Storage-resident weight bytes (audit ledger `h2d:disk`).
     disk_bytes: ByteSize,
-    /// Total offloaded (streamed) weight bytes.
-    offloaded: ByteSize,
     prefill_compute: SimDuration,
     decode_compute: DecodeCompute,
 }
+
+impl LayerCosts {
+    /// What a step that prefetches this layer reads of it: its kind
+    /// and its (cpu bytes, disk bytes) split, which fixes its load and
+    /// offloaded bytes.
+    fn stream_key(&self) -> (LayerKind, ByteSize, ByteSize) {
+        (self.kind, self.cpu_bytes, self.disk_bytes)
+    }
+}
+
+/// The steps that cost the same at every token: one layer kind
+/// computing while one kind and split of layer streams in.
+#[derive(Debug, Clone, Copy)]
+struct StepClass {
+    /// The computing layer's kind: its compute and KV write-back.
+    kind: LayerKind,
+    /// A layer the step prefetches; `None` for the run's final step.
+    next: Option<usize>,
+}
+
+/// One step class's costs at one token: everything a
+/// [`LayerStepRecord`] of that step holds but its position.
+#[derive(Debug, Clone, Copy)]
+struct StepPrice {
+    kind: LayerKind,
+    compute: SimDuration,
+    /// The next layer's weights, and its KV cache if it streams one.
+    load: SimDuration,
+    next_kind: Option<LayerKind>,
+    step: SimDuration,
+    h2d: ByteSize,
+    d2h: ByteSize,
+    /// Whether the load or the write-back outlasted compute.
+    transfer_bound: bool,
+}
+
+impl StepPrice {
+    /// A placeholder the first token's pricing overwrites.
+    const UNPRICED: StepPrice = StepPrice {
+        kind: LayerKind::InputEmbed,
+        compute: SimDuration::ZERO,
+        load: SimDuration::ZERO,
+        next_kind: None,
+        step: SimDuration::ZERO,
+        h2d: ByteSize::ZERO,
+        d2h: ByteSize::ZERO,
+        transfer_bound: false,
+    };
+
+    /// The record of the step at (`token`, `layer_index`).
+    fn record(&self, token: usize, layer_index: usize, stage: Stage) -> LayerStepRecord {
+        LayerStepRecord {
+            token,
+            layer_index,
+            kind: self.kind,
+            stage,
+            compute: self.compute,
+            load_next: self.load,
+            next_kind: self.next_kind,
+            h2d_bytes: self.h2d,
+            d2h_bytes: self.d2h,
+            step: self.step,
+        }
+    }
+}
+
+/// Step classes a run prices on the stack; a placement with more
+/// prices them in a vector.
+const INLINE_CLASSES: usize = 16;
 
 /// Number of [`LayerKind`]s.
 const KINDS: usize = 4;
@@ -251,12 +332,42 @@ impl LayerCostTable {
             };
             layers.push(LayerCosts {
                 kind,
+                class: 0,
                 load,
                 cpu_bytes,
                 disk_bytes,
-                offloaded: cpu_bytes + disk_bytes,
                 prefill_compute,
                 decode_compute,
+            });
+        }
+
+        // Step `j` reads layer `j`'s kind and layer `j + 1`'s stream
+        // key (the last layer's step prefetches layer 0 for the next
+        // token), so steps agreeing on both share one class. Classes
+        // are searched latest first, as a decoder stack alternates
+        // between its two newest.
+        let mut classes: Vec<StepClass> = Vec::new();
+        for j in 0..layers.len() {
+            let kind = layers[j].kind;
+            let next = if j + 1 == layers.len() { 0 } else { j + 1 };
+            let streams = layers[next].stream_key();
+            layers[j].class = match classes.iter().rposition(|c| {
+                c.kind == kind && c.next.is_some_and(|k| layers[k].stream_key() == streams)
+            }) {
+                Some(class) => class,
+                None => {
+                    classes.push(StepClass {
+                        kind,
+                        next: Some(next),
+                    });
+                    classes.len() - 1
+                }
+            };
+        }
+        if let Some(last) = layers.last() {
+            classes.push(StepClass {
+                kind: last.kind,
+                next: None,
             });
         }
 
@@ -278,6 +389,7 @@ impl LayerCostTable {
 
         Ok(LayerCostTable {
             layers,
+            classes,
             kind_layer,
             writeback,
             prompt_len: inp.workload.prompt_len,
@@ -292,17 +404,9 @@ impl LayerCostTable {
         self.layers.len()
     }
 
-    fn kind(&self, j: usize) -> LayerKind {
-        self.layers[j].kind
-    }
-
     /// Cached [`load_time`] of layer `j`'s offloaded weights.
     pub fn load(&self, j: usize) -> SimDuration {
         self.layers[j].load
-    }
-
-    fn offloaded_bytes(&self, j: usize) -> ByteSize {
-        self.layers[j].offloaded
     }
 
     fn writeback(&self, stage: Stage) -> Option<&WritebackCost> {
@@ -392,6 +496,50 @@ impl LayerCostTable {
         }))
     }
 
+    /// Prices every step class, in `prices`, at one token from the
+    /// token's per-kind compute, its KV stream (bytes and time) and
+    /// its stage's write-back cost — the expressions a per-step
+    /// evaluation would apply to the same operands.
+    fn price_classes(
+        &self,
+        prices: &mut [StepPrice],
+        compute: &TokenCompute,
+        kv_in: Option<(ByteSize, SimDuration)>,
+        writeback_cost: Option<&WritebackCost>,
+    ) {
+        for (price, class) in prices.iter_mut().zip(&self.classes) {
+            let (mut load, next_kind, mut h2d) = match class.next {
+                Some(next) => {
+                    let next = &self.layers[next];
+                    (next.load, Some(next.kind), next.cpu_bytes + next.disk_bytes)
+                }
+                None => (SimDuration::ZERO, None, ByteSize::ZERO),
+            };
+            // Under KV offloading, the next layer's cache streams in
+            // alongside its weights and shares the same H2D budget.
+            if let (Some(LayerKind::Mha), Some((kv_bytes, kv_time))) = (next_kind, kv_in) {
+                load += kv_time;
+                h2d += kv_bytes;
+            }
+            let compute = compute.of(class.kind);
+            // KV write-back for the tokens this step produced.
+            let (writeback, d2h) = match writeback_cost {
+                Some(wb) if class.kind == LayerKind::Mha => (wb.time, wb.bytes),
+                _ => (SimDuration::ZERO, ByteSize::ZERO),
+            };
+            *price = StepPrice {
+                kind: class.kind,
+                compute,
+                load,
+                next_kind,
+                step: compute.max(load).max(writeback) + SYNC_OVERHEAD,
+                h2d,
+                d2h,
+                transfer_bound: load.max(writeback) > compute,
+            };
+        }
+    }
+
     fn audit_weight_traffic(&self, audit: &mut Auditor, j: usize) {
         if !audit.is_active() {
             return;
@@ -442,15 +590,15 @@ fn decode_compute(inp: &PipelineInputs<'_>, layer: &Layer) -> DecodeCompute {
     }
 }
 
-/// Streaming critical-path attribution for the offline executor and
-/// its seed evaluator.
+/// Streaming critical-path attribution for the seed evaluator.
 ///
 /// Each closed pipeline segment — the fill, then one entry per
 /// `max(compute, load, writeback) + sync` step — ends at a boundary
 /// quantized onto the tick lattice; the segment is the difference of
 /// consecutive boundaries, so the buckets telescope to the total
 /// exactly. The tracker reads only durations the executor already
-/// computed, so running it unconditionally perturbs nothing.
+/// computed, so running it unconditionally perturbs nothing. The
+/// executor keeps the same buckets in its `Clock`.
 #[derive(Default)]
 struct StepAttribution {
     att: Attribution,
@@ -458,9 +606,8 @@ struct StepAttribution {
 }
 
 impl StepAttribution {
-    /// Closes the segment ending at `elapsed`; returns its tick
-    /// bounds for span emission.
-    fn close(&mut self, elapsed: SimDuration, transfer_bound: bool) -> (u64, u64) {
+    /// Closes the segment ending at `elapsed`.
+    fn close(&mut self, elapsed: SimDuration, transfer_bound: bool) {
         let now = duration_ticks(elapsed);
         let seg = u128::from(now - self.prev);
         if transfer_bound {
@@ -468,15 +615,70 @@ impl StepAttribution {
         } else {
             self.att.compute_ticks += seg;
         }
-        let start = self.prev;
         self.prev = now;
-        (start, now)
     }
 
     fn finish(mut self) -> Attribution {
         self.att.total_ticks = u128::from(self.prev);
         self.att
     }
+}
+
+/// The executor's running state — the clock, the step totals and the
+/// critical-path attribution — as [`fold_steps`] advances it.
+#[derive(Debug, Default)]
+struct Clock {
+    elapsed: SimDuration,
+    /// `elapsed` on the tick lattice: the end of the last segment.
+    ticks: u64,
+    /// Ticks of the segments whose step was transfer-bound (the fill
+    /// included). Each segment is the difference of consecutive `u64`
+    /// boundaries, the first of them 0, so all segments telescope to
+    /// `ticks` and the transfer-bound ones sum to at most that: the
+    /// sum cannot overflow, and the compute-bound share is exactly
+    /// `ticks - transfer_ticks`. The buckets therefore equal the seed
+    /// evaluator's per-segment `u128` sums.
+    transfer_ticks: u64,
+    totals: StepTotals,
+}
+
+impl Clock {
+    /// Advances the clock past one step priced at `price`.
+    #[inline]
+    fn step(&mut self, price: &StepPrice) {
+        self.elapsed += price.step;
+        let now = duration_ticks(self.elapsed);
+        if price.transfer_bound {
+            self.transfer_ticks += now - self.ticks;
+        }
+        self.ticks = now;
+        self.totals.record(price.compute, price.h2d, price.d2h);
+    }
+
+    fn attribution(&self) -> Attribution {
+        Attribution {
+            compute_ticks: u128::from(self.ticks - self.transfer_ticks),
+            transfer_ticks: u128::from(self.transfer_ticks),
+            total_ticks: u128::from(self.ticks),
+            ..Attribution::default()
+        }
+    }
+}
+
+/// The executor's hot loop: advances `clock` past `steps`, each at its
+/// class's price. Nothing in it is a call (the unit arithmetic and
+/// [`duration_ticks`] inline), so the loop keeps the clock and the
+/// sums in registers. It stays out of line, a small function of its
+/// own, so that holds whatever the executor around it keeps live.
+#[inline(never)]
+fn fold_steps(clock: Clock, steps: &[LayerCosts], prices: &[StepPrice]) -> Clock {
+    // A local copy: the argument's memory belongs to the caller, so
+    // every step would store into it.
+    let mut local = clock;
+    for layer in steps {
+        local.step(&prices[layer.class]);
+    }
+    local
 }
 
 /// Runs the full prefill + decode pipeline and reports metrics,
@@ -548,8 +750,6 @@ fn run_pipeline_inner(
         RecordMode::Full => Vec::with_capacity(num_layers * gen_len),
         RecordMode::Aggregate => Vec::new(),
     };
-    let mut totals = StepTotals::default();
-    let mut elapsed = SimDuration::ZERO;
     let mut tbt = SeriesStats::new();
     let mut ttft = SimDuration::ZERO;
 
@@ -558,7 +758,6 @@ fn run_pipeline_inner(
     let micro = inp.policy.num_gpu_batches();
     let effective_batch = inp.policy.effective_batch();
 
-    let mut att = StepAttribution::default();
     let mut spans: Option<Vec<TraceSpan>> = trace.is_some().then(|| {
         let mut s = Vec::with_capacity(2 + gen_len * (num_layers + 1));
         // Root placeholder; its end is patched once the run closes.
@@ -570,18 +769,32 @@ fn run_pipeline_inner(
         });
         s
     });
+    // Every step class's price at the current token.
+    let mut inline = [StepPrice::UNPRICED; INLINE_CLASSES];
+    let mut spilled = Vec::new();
+    let prices: &mut [StepPrice] = match inline.get_mut(..table.classes.len()) {
+        Some(prices) => prices,
+        None => {
+            spilled.resize(table.classes.len(), StepPrice::UNPRICED);
+            &mut spilled
+        }
+    };
 
     // Pipeline fill: the first layer's weights stream before any
-    // compute can overlap them.
-    elapsed += table.load(0);
+    // compute can overlap them, a transfer-bound segment.
+    let mut clock = Clock {
+        elapsed: table.load(0),
+        ..Clock::default()
+    };
+    clock.ticks = duration_ticks(clock.elapsed);
+    clock.transfer_ticks = clock.ticks;
     table.audit_weight_traffic(&mut audit, 0);
-    let (fill_start, fill_end) = att.close(elapsed, true);
     if let Some(s) = spans.as_mut() {
         s.push(TraceSpan {
             name: "fill",
             depth: 1,
-            start: fill_start,
-            end: fill_end,
+            start: 0,
+            end: clock.ticks,
         });
     }
 
@@ -591,106 +804,99 @@ fn run_pipeline_inner(
         } else {
             Stage::Decode
         };
-        let token_start = elapsed;
-        let token_span = spans.as_mut().map(|s| {
-            s.push(TraceSpan {
-                name: if token == 0 { "prefill" } else { "decode" },
-                depth: 1,
-                start: att.prev,
-                end: att.prev,
-            });
-            s.len() - 1
-        });
+        let (token_start, token_start_ticks) = (clock.elapsed, clock.ticks);
         // Compute and the KV stream depend only on the stage, the
-        // token and the layer's kind: priced once per token.
+        // token and the layer's kind, and a step's price only on
+        // them and its class: all priced once per token.
         let kind_compute = table.token_compute(gpu, stage, token, micro);
         let kv_in = table
             .kv_stream(inp, stage, token)?
             .map(|(bytes, rate)| (bytes, rate.time_for(bytes)));
-        let writeback_cost = table.writeback(stage);
-        for j in 0..num_layers {
-            let last_step = token + 1 == gen_len && j + 1 == num_layers;
-            let next_index = (j + 1) % num_layers;
-            let (mut load, next_kind, mut h2d) = if last_step {
-                (SimDuration::ZERO, None, ByteSize::ZERO)
-            } else {
-                (
-                    table.load(next_index),
-                    Some(table.kind(next_index)),
-                    table.offloaded_bytes(next_index),
-                )
-            };
-            if !last_step {
-                table.audit_weight_traffic(&mut audit, next_index);
-            }
-            // Under KV offloading, the next layer's cache streams in
-            // alongside its weights and shares the same H2D budget.
-            if let (Some(LayerKind::Mha), Some((kv_bytes, kv_time))) = (next_kind, kv_in) {
-                load += kv_time;
-                h2d += kv_bytes;
-                audit.scheduled("h2d:kv", kv_bytes);
-                audit.delivered("h2d:kv", kv_bytes);
-            }
-            let compute = kind_compute.of(table.kind(j));
-            // KV write-back for the tokens this step produced.
-            let (writeback, d2h) = match writeback_cost {
-                Some(wb) if table.kind(j) == LayerKind::Mha => (wb.time, wb.bytes),
-                _ => (SimDuration::ZERO, ByteSize::ZERO),
-            };
-            if d2h > ByteSize::ZERO {
-                audit.scheduled("d2h:kv", d2h);
-                audit.delivered("d2h:kv", d2h);
-            }
-            let step = compute.max(load).max(writeback) + SYNC_OVERHEAD;
-            audit.check_duration("compute", compute);
-            audit.check_duration("load", load);
-            audit.check_duration("step", step);
-            totals.record(compute, h2d, d2h);
-            if mode == RecordMode::Full {
-                records.push(LayerStepRecord {
-                    token,
-                    layer_index: j,
-                    kind: table.kind(j),
-                    stage,
-                    compute,
-                    load_next: load,
-                    next_kind,
-                    h2d_bytes: h2d,
-                    d2h_bytes: d2h,
-                    step,
-                });
-            }
-            elapsed += step;
-            audit.observe_time("analytic", SimTime::ZERO + elapsed);
-            let transfer_bound = load.max(writeback) > compute;
-            let (seg_start, seg_end) = att.close(elapsed, transfer_bound);
+        table.price_classes(prices, &kind_compute, kv_in, table.writeback(stage));
+        // The run's final step streams nothing: the last class.
+        let (steps, final_step) = if token + 1 == gen_len {
+            (
+                &table.layers[..num_layers - 1],
+                Some(table.classes.len() - 1),
+            )
+        } else {
+            (&table.layers[..], None)
+        };
+        clock = fold_steps(clock, steps, prices);
+        if let Some(class) = final_step {
+            clock.step(&prices[class]);
+        }
+
+        // The fold kept nothing per step, so what else the run asked
+        // for replays in step order from the same prices.
+        let classes = steps.iter().map(|layer| layer.class).chain(final_step);
+        if mode == RecordMode::Full {
+            records.extend(
+                classes
+                    .clone()
+                    .enumerate()
+                    .map(|(j, class)| prices[class].record(token, j, stage)),
+            );
+        }
+        if audit.is_active() || spans.is_some() {
             if let Some(s) = spans.as_mut() {
                 s.push(TraceSpan {
-                    name: if transfer_bound {
-                        "transfer"
-                    } else {
-                        "compute"
-                    },
-                    depth: 2,
-                    start: seg_start,
-                    end: seg_end,
+                    name: if token == 0 { "prefill" } else { "decode" },
+                    depth: 1,
+                    start: token_start_ticks,
+                    end: clock.ticks,
                 });
             }
-        }
-        if let (Some(s), Some(ti)) = (spans.as_mut(), token_span) {
-            s[ti].end = att.prev;
+            // The same additions from the same reading as the fold's.
+            let mut elapsed = token_start;
+            let mut ticks = token_start_ticks;
+            for class in classes {
+                let price = &prices[class];
+                // Every layer a class prefetches has one split, so any
+                // of them ledgers the same bytes.
+                if let Some(next) = table.classes[class].next {
+                    table.audit_weight_traffic(&mut audit, next);
+                }
+                if let (Some(LayerKind::Mha), Some((kv_bytes, _))) = (price.next_kind, kv_in) {
+                    audit.scheduled("h2d:kv", kv_bytes);
+                    audit.delivered("h2d:kv", kv_bytes);
+                }
+                if price.d2h > ByteSize::ZERO {
+                    audit.scheduled("d2h:kv", price.d2h);
+                    audit.delivered("d2h:kv", price.d2h);
+                }
+                audit.check_duration("compute", price.compute);
+                audit.check_duration("load", price.load);
+                audit.check_duration("step", price.step);
+                elapsed += price.step;
+                audit.observe_time("analytic", SimTime::ZERO + elapsed);
+                let now = duration_ticks(elapsed);
+                if let Some(s) = spans.as_mut() {
+                    s.push(TraceSpan {
+                        name: if price.transfer_bound {
+                            "transfer"
+                        } else {
+                            "compute"
+                        },
+                        depth: 2,
+                        start: ticks,
+                        end: now,
+                    });
+                }
+                ticks = now;
+            }
+            debug_assert_eq!(ticks, clock.ticks, "replay and fold disagree");
         }
         if token == 0 {
-            ttft = elapsed;
+            ttft = clock.elapsed;
         } else {
-            tbt.add((elapsed - token_start).as_secs());
+            tbt.add((clock.elapsed - token_start).as_secs());
         }
     }
 
-    let root_end = att.prev;
-    let attribution = att.finish();
+    let attribution = clock.attribution();
     if let (Some(out), Some(mut s)) = (trace, spans) {
-        s[0].end = root_end;
+        s[0].end = clock.ticks;
         out.requests.push(RequestTrace {
             id: out.requests.len() as u64,
             pipe: 0,
@@ -707,10 +913,10 @@ fn run_pipeline_inner(
         compressed: inp.policy.compressed(),
         ttft,
         tbt,
-        total_time: elapsed,
+        total_time: clock.elapsed,
         tokens_generated: inp.workload.tokens_generated(effective_batch),
         records,
-        totals,
+        totals: clock.totals,
         achieved_distribution: inp.placement.achieved_distribution(),
         attribution,
         audit: audit.finish_if_active(),
@@ -1249,6 +1455,44 @@ mod tests {
         assert!(offload.total_h2d_bytes() > resident.total_h2d_bytes());
         // On Optane, write-back is expensive: TBT strictly worse.
         assert!(offload.tbt_ms() > resident.tbt_ms());
+    }
+
+    #[test]
+    fn one_class_per_step_reports_the_same_bytes() {
+        // Splitting every step into a class of its own changes no
+        // price, and it overflows the stack's price slots, so the run
+        // prices its classes in a vector instead.
+        let (system, model, policy, workload) =
+            inputs(HostMemoryConfig::nvdram(), PlacementKind::Helm, true, 4);
+        let policy = policy.with_kv_offload(true);
+        let placement = ModelPlacement::compute(&model, &policy);
+        let inp = PipelineInputs {
+            system: &system,
+            model: &model,
+            policy: &policy,
+            placement: &placement,
+            workload: &workload,
+        };
+        let table = LayerCostTable::build(&inp).expect("table builds");
+        let mut split = table.clone();
+        split.classes.clear();
+        let num_layers = split.layers.len();
+        for (j, layer) in split.layers.iter_mut().enumerate() {
+            let next = if j + 1 == num_layers { 0 } else { j + 1 };
+            split.classes.push(StepClass {
+                kind: layer.kind,
+                next: Some(next),
+            });
+            layer.class = j;
+        }
+        split.classes.extend(table.classes.last().copied());
+        assert_eq!(table.classes.len(), 6);
+        assert!(split.classes.len() > INLINE_CLASSES);
+        for mode in [RecordMode::Full, RecordMode::Aggregate] {
+            let folded = run_pipeline_with(&inp, &table, mode).expect("runs");
+            let spilled = run_pipeline_with(&inp, &split, mode).expect("runs");
+            assert_eq!(format!("{folded:?}"), format!("{spilled:?}"));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   [`SimError`] faults a loop driving it reports.
 //! * [`stats`] — statistic accumulators implementing the paper's
 //!   "arithmetic mean discarding the first sample" metric rule.
-//! * [`rng`] — deterministic, splittable random-number helpers.
+//! * [`rng`] — deterministic, seeded random-number streams.
 //!
 //! # Examples
 //!

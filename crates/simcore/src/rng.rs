@@ -1,4 +1,4 @@
-//! Deterministic, splittable random-number helpers.
+//! Deterministic random-number helpers.
 //!
 //! Every stochastic element of the simulator (arrival times, deadline
 //! mixes, reservoir samples) draws from a [`SimRng`] derived from a
@@ -42,12 +42,6 @@ impl SimRng {
         }
     }
 
-    /// Splits off an independent child stream.
-    pub fn split(&mut self, label: &str) -> SimRng {
-        let child_seed: u64 = self.inner.gen();
-        SimRng::from_seed_and_stream(child_seed, label)
-    }
-
     /// Uniform in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -83,15 +77,6 @@ mod tests {
         let mut b = SimRng::from_seed_and_stream(7, "y");
         let same = (0..32).filter(|_| a.next_f64() == b.next_f64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn split_streams_are_deterministic() {
-        let mut parent1 = SimRng::from_seed_and_stream(9, "p");
-        let mut parent2 = SimRng::from_seed_and_stream(9, "p");
-        let mut c1 = parent1.split("child");
-        let mut c2 = parent2.split("child");
-        assert_eq!(c1.next_f64(), c2.next_f64());
     }
 
     #[test]

@@ -39,14 +39,41 @@ pub fn time_ticks(t: SimTime) -> u64 {
 }
 
 /// Quantizes a duration-from-origin onto the picosecond lattice.
+#[inline]
 pub fn duration_ticks(d: SimDuration) -> u64 {
     secs_to_ticks(d.as_secs())
 }
 
+/// `(secs * TICKS_PER_SEC).round() as u64` for every `secs`, NaN,
+/// infinities and the saturation at `u64::MAX` (past ~213 simulated
+/// days) included.
+#[inline]
 fn secs_to_ticks(secs: f64) -> u64 {
-    // `as` saturates (negative -> 0, overflow -> u64::MAX), so even a
-    // pathological input cannot wrap the lattice.
-    (secs * TICKS_PER_SEC).round() as u64
+    round_ticks(secs * TICKS_PER_SEC)
+}
+
+/// `x.round() as u64` without `f64::round`, which compiles to a libm
+/// call on x86-64 targets without SSE4.1 — a call that would sit in
+/// the offline executor's per-step fold.
+///
+/// On `[0, 2^63)` the truncation `t = x as i64` is itself a double, so
+/// `t as f64` is exact and so is `x - t`, the fraction: rounding half
+/// away from zero adds one when the fraction is at least one half
+/// (`t + 1` stays below `i64::MAX`, since the largest double below
+/// 2^63 is 2^63 − 1024). Everything else rounds to itself or saturates
+/// as `as` does (negative and NaN -> 0, at or past 2^64 ->
+/// `u64::MAX`), so even a pathological input cannot wrap the lattice:
+/// a double at or past 2^63 is already an integer, and `round()` of a
+/// negative is at most -0.
+#[inline]
+fn round_ticks(x: f64) -> u64 {
+    const TWO_POW_63: f64 = (1u64 << 63) as f64;
+    if (0.0..TWO_POW_63).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
+    }
 }
 
 /// One span of a pre-order, depth-encoded span tree.
@@ -150,6 +177,7 @@ fn spans_start_of(parent: &(u32, u64, u64)) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn span(name: &'static str, depth: u32, start: u64, end: u64) -> TraceSpan {
         TraceSpan {
@@ -188,6 +216,125 @@ mod tests {
     fn negative_and_nan_saturate_to_zero() {
         assert_eq!(secs_to_ticks(-1.0), 0);
         assert_eq!(secs_to_ticks(f64::NAN), 0);
+    }
+
+    /// What the lattice conversion must equal for every input.
+    fn reference(secs: f64) -> u64 {
+        (secs * TICKS_PER_SEC).round() as u64
+    }
+
+    /// Checks the rounding at `x` ticks, and the conversion at `x`
+    /// and at `x` ticks' worth of seconds.
+    fn assert_rounds_like_round(x: f64) {
+        assert_eq!(round_ticks(x), x.round() as u64, "round_ticks({x:e})");
+        for secs in [x, x / TICKS_PER_SEC] {
+            assert_eq!(
+                secs_to_ticks(secs),
+                reference(secs),
+                "secs_to_ticks({secs:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn tick_rounding_matches_round_at_the_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        let mut edges = vec![
+            // Ties round away from zero; the largest double below one
+            // half rounds down (the `floor(x + 0.5)` trap).
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            below_half,
+            1.0 - f64::EPSILON / 2.0,
+            // Where doubles stop having fractions, and beyond.
+            two(52) - 0.5,
+            two(52),
+            two(52) + 1.0,
+            two(53) - 1.0,
+            two(53),
+            two(63),
+            two(64) - 2048.0,
+            // Saturation at u64::MAX.
+            two(64),
+            two(64) + 4096.0,
+            two(65),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            // Zeros, subnormals, negatives, NaN.
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.5,
+            -two(63),
+            f64::MIN,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Each finite edge's neighbouring doubles too.
+        let neighbours: Vec<f64> = edges
+            .iter()
+            .filter(|x| x.is_finite())
+            .flat_map(|x| [x.to_bits().wrapping_sub(1), x.to_bits() + 1].map(f64::from_bits))
+            .collect();
+        edges.extend(neighbours);
+        for x in edges {
+            assert_rounds_like_round(x);
+        }
+        assert_eq!(round_ticks(below_half), 0);
+        assert_eq!(round_ticks(0.5), 1);
+        assert_eq!(round_ticks(two(64) - 2048.0), u64::MAX - 2047);
+        assert_eq!(round_ticks(two(64)), u64::MAX);
+        assert_eq!(round_ticks(f64::INFINITY), u64::MAX);
+        assert_eq!(round_ticks(f64::NEG_INFINITY), 0);
+        assert_eq!(round_ticks(f64::NAN), 0);
+    }
+
+    #[test]
+    fn tick_lattice_saturates_past_213_days() {
+        // 2^64 ps is 213.5 days: a boundary past it pins at u64::MAX
+        // instead of wrapping.
+        let day = 86_400.0;
+        let before = duration_ticks(SimDuration::from_secs(213.0 * day));
+        assert!(before < u64::MAX, "213 days already saturated");
+        assert_eq!(
+            duration_ticks(SimDuration::from_secs(214.0 * day)),
+            u64::MAX
+        );
+        assert_eq!(time_ticks(SimTime::from_secs(1e9)), u64::MAX);
+        assert_eq!(duration_ticks(SimDuration::INFINITY), u64::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern: finite or not, of either sign, at any
+        /// scale.
+        #[test]
+        fn tick_rounding_matches_round_for_any_bits(bits in any::<u64>()) {
+            assert_rounds_like_round(f64::from_bits(bits));
+        }
+
+        /// Where the lattice lives: ticks below 2^53 with a fraction,
+        /// ties included.
+        #[test]
+        fn tick_rounding_matches_round_below_saturation(
+            whole in 0u64..(1 << 53),
+            half in any::<bool>(),
+            frac in 0.0f64..1.0,
+        ) {
+            let x = whole as f64 + if half { 0.5 } else { frac };
+            assert_rounds_like_round(x);
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Golden-equivalence suite for the cost-table evaluator: the fast
 //! path (`LayerCostTable` + `run_pipeline_with`) must reproduce the
 //! seed evaluator (`run_pipeline_reference`) *bit for bit* — same
-//! TTFT, same per-token TBT samples, same step records, same audit
-//! ledgers — and `RecordMode::Aggregate` must change nothing except
+//! TTFT, same per-token TBT samples, same step records, same
+//! critical-path attribution, same audit ledgers — and `RecordMode::Aggregate` must change nothing except
 //! dropping the per-step record vec. A serial coarse placement sweep
 //! checks the consequence the autoplace engine relies on: identical
 //! objective values mean an identical winner.
@@ -128,6 +128,8 @@ fn assert_aggregates_bitwise(a: &RunReport, b: &RunReport) {
     for (x, y) in a.achieved_distribution.iter().zip(&b.achieved_distribution) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
+    // The critical-path attribution, bucket by bucket.
+    assert_eq!(a.attribution, b.attribution);
     // Audit ledgers (present in debug builds) must match channel by
     // channel — proof the fast path schedules the same transfers.
     assert_eq!(a.audit, b.audit);

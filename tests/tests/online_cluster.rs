@@ -174,11 +174,11 @@ fn audit_dropped_balances_a_cancelled_transfer() {
 fn transfer_completing_one_step_before_batch_balances_the_ledger() {
     // Epoch edge case on the transfer path: a weight prefetch whose
     // completion lands exactly one decode step before the batch
-    // boundary. Coalesced spans replay flow completions through
-    // `CappedLink::drain`, so the completion instant and the
-    // delivered byte count must match the stepwise water-filling
-    // arithmetic exactly, and the drain anchored at the boundary
-    // itself must be a no-op with the ledger already balanced.
+    // boundary. Draining the link from time zero must report that
+    // completion at exactly the stepwise water-filling instant
+    // (10 s − 1 s, bit for bit) and deliver the scheduled bytes, and
+    // a second drain anchored at the boundary itself must be a no-op
+    // with the ledger already balanced.
     simaudit::force_enable();
     let mut audit = Auditor::capture();
     let bw = Bandwidth::from_gb_per_s(10.0);
