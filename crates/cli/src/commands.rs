@@ -8,6 +8,7 @@ use helm_core::policy::Policy;
 use helm_core::server::Server;
 use helm_core::system::SystemConfig;
 use simcore::units::ByteSize;
+use std::io::Write as _;
 use workload::WorkloadSpec;
 
 /// Flags of `serve`, `maxbatch`, `energy` and `explain`; the search
@@ -94,11 +95,14 @@ impl std::fmt::Display for JsonNum {
     }
 }
 
-/// Writes a collected trace as chrome-trace JSON; in text mode also
-/// says where it went.
+/// Streams a collected trace to `path` as chrome-trace JSON, never
+/// holding the whole document; in text mode also says where it went.
 fn write_trace(path: &str, trace: &helm_core::trace::Trace, json: bool) -> Result<(), ArgError> {
-    std::fs::write(path, trace.to_chrome_json())
-        .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
+    let fail = |e: std::io::Error| ArgError(format!("writing {path}: {e}"));
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path).map_err(fail)?);
+    trace.write_chrome_json(&mut out).map_err(fail)?;
+    // Dropping a `BufWriter` discards a failed flush, so flush here.
+    out.flush().map_err(fail)?;
     if !json {
         println!(
             "trace: wrote {} span(s) over {} request(s) to {path}",
@@ -1163,6 +1167,36 @@ mod tests {
         ]);
         let err = serve(&args).unwrap_err().to_string();
         assert!(err.starts_with("writing /nonexistent/dir/x.csv"), "{err}");
+    }
+
+    #[test]
+    fn serve_fails_on_an_unwritable_trace_path() {
+        // A missing directory fails at create. `/dev/full` opens and
+        // then fails every write: the offline trace (~10 KB) outgrows
+        // the `BufWriter` and fails mid-stream, and the one-request
+        // online trace (~0.5 KB) fails only at the explicit flush.
+        let mut paths = vec!["/nonexistent/dir/t.json"];
+        if std::path::Path::new("/dev/full").exists() {
+            paths.push("/dev/full");
+        }
+        let online: &[&str] = &["--pipelines", "1", "--lambda", "0.5", "--requests", "1"];
+        for path in paths {
+            for extra in [&[][..], online] {
+                let mut tokens = vec![
+                    "--model",
+                    "opt-1.3b",
+                    "--memory",
+                    "dram",
+                    "--gen",
+                    "2",
+                    "--trace-out",
+                    path,
+                ];
+                tokens.extend_from_slice(extra);
+                let err = serve(&parse(&tokens)).unwrap_err().to_string();
+                assert!(err.starts_with(&format!("writing {path}: ")), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 
 use simcore::trace::{validate_nesting, NestingError, TraceSpan};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::convert::Infallible;
+use std::io::{self, Write as _};
 
 /// Critical-path attribution: an exact partition of elapsed time into
 /// queue-bound, compute-bound, and transfer-bound ticks.
@@ -138,33 +139,71 @@ impl Trace {
     /// id and the request as the thread id. Timestamps are
     /// microseconds, the format's native unit.
     ///
-    /// Each span is written straight into the output buffer. Span
+    /// [`Trace::write_chrome_json`] writes the same bytes to any
+    /// `io::Write`; this renders them into one reserved buffer. Span
     /// names are `&'static str` identifiers, so nothing is escaped.
     pub fn to_chrome_json(&self) -> String {
         // Spans run ~100 bytes; reserving past that avoids a final
         // regrow that copies the whole buffer.
-        let mut out = String::with_capacity(64 + self.span_count() * 112);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut sep = "\n";
+        let mut out = Vec::with_capacity(64 + self.span_count() * 112);
+        let Ok(()) = self.render(&mut out, |_| Ok::<(), Infallible>(()));
+        // Every byte is ASCII or part of a span name, so the buffer is
+        // UTF-8. Were it not, the replacement characters would show
+        // the fault in the output instead of hiding it.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+
+    /// Writes the chrome-trace JSON of [`Trace::to_chrome_json`], byte
+    /// for byte, to `out` without building the whole document: `out`
+    /// receives the header, then one `write_all` per span, then the
+    /// closing bracket. Wrap a file in a `BufWriter`, and flush it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_chrome_json(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(256);
+        self.render(&mut buf, |buf| {
+            out.write_all(buf)?;
+            buf.clear();
+            Ok(())
+        })
+    }
+
+    /// Appends the chrome-trace JSON to `buf`, handing `buf` to `spill`
+    /// after each span and after the closing bracket. Each request's
+    /// `,"pid":P,"tid":T}` tail is formatted once and copied into each
+    /// of its spans.
+    fn render<E>(
+        &self,
+        buf: &mut Vec<u8>,
+        mut spill: impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        buf.extend_from_slice(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        let mut open: &[u8] = b"\n{\"name\":\"";
+        let mut tail = Vec::with_capacity(48);
         for req in &self.requests {
+            tail.clear();
+            tail.extend_from_slice(b",\"pid\":");
+            push_u64(&mut tail, u64::from(req.pipe));
+            tail.extend_from_slice(b",\"tid\":");
+            push_u64(&mut tail, req.id);
+            tail.push(b'}');
             for span in &req.spans {
-                out.push_str(sep);
-                sep = ",\n";
-                out.push_str("{\"name\":\"");
-                out.push_str(span.name);
-                out.push_str("\",\"cat\":\"helm\",\"ph\":\"X\",\"ts\":");
-                push_us(&mut out, span.start);
-                out.push_str(",\"dur\":");
-                push_us(&mut out, span.end - span.start);
-                out.push_str(",\"pid\":");
-                push_u64(&mut out, u64::from(req.pipe));
-                out.push_str(",\"tid\":");
-                push_u64(&mut out, req.id);
-                out.push('}');
+                buf.extend_from_slice(open);
+                open = b",\n{\"name\":\"";
+                buf.extend_from_slice(span.name.as_bytes());
+                buf.extend_from_slice(b"\",\"cat\":\"helm\",\"ph\":\"X\",\"ts\":");
+                push_us(buf, span.start);
+                buf.extend_from_slice(b",\"dur\":");
+                push_us(buf, span.end - span.start);
+                buf.extend_from_slice(&tail);
+                spill(buf)?;
             }
         }
-        out.push_str("\n]}\n");
-        out
+        buf.extend_from_slice(b"\n]}\n");
+        spill(buf)
     }
 }
 
@@ -177,53 +216,93 @@ fn ticks_to_us(ticks: u64) -> f64 {
 /// and the chrome-trace µs encoding.
 const TICKS_PER_US: u64 = 1_000_000; // lint: allow(untyped-unit-const): decimal shift of the chrome-trace µs text, not a simulated quantity
 
-/// Below 2^32 µs, adjacent f64 values are at most 2^-20 µs apart,
-/// finer than one tick (1e-6 µs).
-const EXACT_DECIMAL_BELOW: u64 = (1 << 32) * TICKS_PER_US;
+/// Below 2^33 µs, adjacent f64 values are at most 2^-20 µs apart,
+/// finer than one tick (1e-6 µs). From 2^33 µs on they are 2^-19 µs
+/// (≈ 1.9e-6 µs) apart, coarser than a tick, so the bound is tight:
+/// the first tick past it prints as `8589934592.000002`.
+const EXACT_DECIMAL_BELOW: u64 = (1 << 33) * TICKS_PER_US;
+
+/// `"00"`, `"01"`, …, `"99"`: two ASCII digits per value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Writes the two digits of `v < 100` at `buf[at..at + 2]`.
+fn put_pair(buf: &mut [u8], at: usize, v: u64) {
+    let pair = v as usize * 2;
+    buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+}
+
+/// Writes `v` in decimal so that it ends just before `buf[end]`, and
+/// returns where it starts.
+fn put_digits(buf: &mut [u8], mut end: usize, mut v: u64) -> usize {
+    while v >= 100 {
+        end -= 2;
+        put_pair(buf, end, v % 100);
+        v /= 100;
+    }
+    if v >= 10 {
+        end -= 2;
+        put_pair(buf, end, v);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + v as u8;
+    }
+    end
+}
 
 /// Appends `ticks` in microseconds, byte-identical to formatting
 /// [`ticks_to_us`] with `{}`.
 ///
 /// `{}` prints the shortest decimal that rounds back to the same
-/// f64. Below [`EXACT_DECIMAL_BELOW`] that decimal is
+/// f64. Below [`EXACT_DECIMAL_BELOW`] (2^33 µs) that decimal is
 /// `ticks / 1e6` itself. Any other decimal with as few digits is a
 /// multiple of the exact value's last digit place (≥ 1e-6 µs) and so
 /// lies at least 1e-6 µs away, while everything that rounds to the
-/// same f64 lies within 2^-20 µs. So the integer part and the six-digit
-/// tick remainder, trailing zeros dropped, are exactly what `{}`
-/// prints. Larger values go through `{}`.
-fn push_us(out: &mut String, ticks: u64) {
-    if ticks >= EXACT_DECIMAL_BELOW {
+/// same f64 lies within 2^-20 µs of it. So the integer part and the
+/// six-digit tick remainder, trailing zeros dropped, are exactly what
+/// `{}` prints. Larger values go through `{}`.
+fn push_us(out: &mut Vec<u8>, ticks: u64) {
+    if ticks < EXACT_DECIMAL_BELOW {
+        push_exact_us(out, ticks);
+    } else {
+        // A `Vec`'s `io::Write` takes every byte, so this cannot fail.
         let _ = write!(out, "{}", ticks_to_us(ticks));
-        return;
     }
-    push_u64(out, ticks / TICKS_PER_US);
-    let mut frac = ticks % TICKS_PER_US;
-    if frac == 0 {
-        return;
+}
+
+/// Appends the exact decimal of `ticks / 1e6` for `ticks` below
+/// [`EXACT_DECIMAL_BELOW`]: at most ten integer digits, then the
+/// six-digit tick remainder with trailing zeros dropped.
+fn push_exact_us(out: &mut Vec<u8>, ticks: u64) {
+    let mut text = *b"0000000000.000000";
+    let start = put_digits(&mut text, 10, ticks / TICKS_PER_US);
+    let frac = ticks % TICKS_PER_US;
+    let mut end = 10;
+    if frac != 0 {
+        put_pair(&mut text, 11, frac / 10_000);
+        put_pair(&mut text, 13, frac / 100 % 100);
+        put_pair(&mut text, 15, frac % 100);
+        end = text.len();
+        while text[end - 1] == b'0' {
+            end -= 1;
+        }
     }
-    let mut digits = *b".000000";
-    for d in digits[1..].iter_mut().rev() {
-        *d = b'0' + (frac % 10) as u8;
-        frac /= 10;
-    }
-    let len = digits.iter().rposition(|&d| d != b'0').map_or(0, |i| i + 1);
-    out.extend(digits[..len].iter().map(|&d| char::from(d)));
+    out.extend_from_slice(&text[start..end]);
 }
 
 /// Appends `v` in decimal.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut start = buf.len();
-    loop {
-        start -= 1;
-        buf[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend(buf[start..].iter().map(|&d| char::from(d)));
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    let mut text = [0u8; 20];
+    let start = put_digits(&mut text, 20, v);
+    out.extend_from_slice(&text[start..]);
 }
 
 /// Summary returned by [`validate_chrome_trace`].
@@ -239,7 +318,8 @@ pub struct ChromeTraceStats {
 /// each (pid, tid) track, spans nest without overlap.
 ///
 /// One forward pass over the bytes: each event's key/value pairs are
-/// read once, in any key order, and the event is pushed onto its
+/// read once, in any key order, keys are compared as bytes, each
+/// number is read where it stands, and the event is pushed onto its
 /// track's stack of open spans right away, so the cost is
 /// O(bytes + events · log tracks) and nothing per event is kept. The
 /// accepted subset is what trace exporters emit: a `"traceEvents"`
@@ -262,8 +342,9 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
         .find('[')
         .ok_or("missing traceEvents array")?
         + events_start;
-    let mut cursor = Cursor {
+    let mut scan = Scanner {
         text,
+        bytes: text.as_bytes(),
         pos: open + 1,
     };
     // (pid, tid) -> the spans still open on that track, outermost
@@ -273,16 +354,16 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
     let (mut current, mut open_spans) = (None, Vec::new());
     let mut events = 0usize;
     loop {
-        while matches!(cursor.peek(), Some(b',' | b' ' | b'\t' | b'\n' | b'\r')) {
-            cursor.pos += 1;
+        while let Some(b',' | b' ' | b'\t' | b'\n' | b'\r') = scan.peek() {
+            scan.pos += 1;
         }
-        match cursor.peek() {
+        match scan.peek() {
             Some(b']') => break,
             Some(b'{') => {}
-            Some(_) => return Err(cursor.fault("expected an event object")),
+            Some(_) => return Err(scan.fault("expected an event object")),
             None => return Err("unterminated traceEvents array".into()),
         }
-        let (ts, dur, key) = cursor.event()?;
+        let (ts, dur, key) = scan.event()?;
         if current != Some(key) {
             if let Some(previous) = current.replace(key) {
                 tracks.insert(previous, std::mem::take(&mut open_spans));
@@ -299,25 +380,43 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
     })
 }
 
-/// A read position in a chrome-trace file.
-struct Cursor<'a> {
+/// The fields of one event as read, before they are checked: the byte
+/// range of `ph`'s string, whether `name` was a string, and the
+/// numbers `ts`, `dur`, `pid` and `tid`.
+struct EventFields {
+    ph: Option<(usize, usize)>,
+    name: bool,
+    ts: Option<f64>,
+    dur: Option<f64>,
+    pid: Option<f64>,
+    tid: Option<f64>,
+}
+
+/// A read position in a chrome-trace file. The scan reads bytes;
+/// `text` is the same input as `&str`, for the slices that error
+/// messages quote and that `str::parse` reads.
+struct Scanner<'a> {
     text: &'a str,
+    bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl Scanner<'_> {
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
+        self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
+    #[cold]
     fn fault(&self, what: &str) -> String {
-        if self.pos >= self.text.len() {
+        if self.pos >= self.bytes.len() {
             format!("unterminated traceEvents array: {what} at end of input")
         } else {
             format!("{what} at byte {}", self.pos)
@@ -329,8 +428,14 @@ impl<'a> Cursor<'a> {
     fn event(&mut self) -> Result<(f64, f64, (u64, u64)), String> {
         let start = self.pos;
         self.pos += 1;
-        let (mut ph, mut name) = (None, None);
-        let (mut ts, mut dur, mut pid, mut tid) = (None, None, None, None);
+        let mut fields = EventFields {
+            ph: None,
+            name: false,
+            ts: None,
+            dur: None,
+            pid: None,
+            tid: None,
+        };
         loop {
             self.skip_ws();
             match self.peek() {
@@ -338,20 +443,23 @@ impl<'a> Cursor<'a> {
                 Some(b'"') => {}
                 _ => return Err(self.fault("expected a key or '}' in event")),
             }
-            let key = self.string()?;
+            let (key_start, key_end) = self.string()?;
             self.skip_ws();
             if self.peek() != Some(b':') {
                 return Err(self.fault("expected ':' after key"));
             }
             self.pos += 1;
             self.skip_ws();
-            match key {
-                "ph" => ph = Some(self.string()?),
-                "name" => name = Some(self.string()?),
-                "ts" => ts = Some(self.number(key)?),
-                "dur" => dur = Some(self.number(key)?),
-                "pid" => pid = Some(self.number(key)?),
-                "tid" => tid = Some(self.number(key)?),
+            match &self.bytes[key_start..key_end] {
+                b"ph" => fields.ph = Some(self.string()?),
+                b"name" => {
+                    self.string()?;
+                    fields.name = true;
+                }
+                b"ts" => fields.ts = Some(self.number("ts")?),
+                b"dur" => fields.dur = Some(self.number("dur")?),
+                b"pid" => fields.pid = Some(self.number("pid")?),
+                b"tid" => fields.tid = Some(self.number("tid")?),
                 _ => self.skip_value()?,
             }
             self.skip_ws();
@@ -362,37 +470,67 @@ impl<'a> Cursor<'a> {
             }
         }
         self.pos += 1;
-        let raw = &self.text[start..self.pos];
-        let missing = |field: &str| format!("event missing \"{field}\": {raw}");
-        let ph = ph.ok_or_else(|| missing("ph"))?;
-        if ph != "X" {
-            return Err(format!("unsupported event phase {ph:?}"));
+        match fields {
+            EventFields {
+                ph: Some((ph_start, ph_end)),
+                name: true,
+                ts: Some(ts),
+                dur: Some(dur),
+                pid: Some(pid),
+                tid: Some(tid),
+            } if &self.bytes[ph_start..ph_end] == b"X"
+                && ts.is_finite()
+                && dur.is_finite()
+                && ts >= 0.0
+                && dur >= 0.0 =>
+            {
+                Ok((ts, dur, (pid as u64, tid as u64)))
+            }
+            _ => Err(self.event_fault(start, &fields)),
         }
-        name.ok_or_else(|| missing("name"))?;
-        let ts = ts.ok_or_else(|| missing("ts"))?;
-        let dur = dur.ok_or_else(|| missing("dur"))?;
-        let pid = pid.ok_or_else(|| missing("pid"))?;
-        let tid = tid.ok_or_else(|| missing("tid"))?;
-        if !(ts.is_finite() && dur.is_finite()) || ts < 0.0 || dur < 0.0 {
-            return Err(format!("event has invalid ts/dur: {raw}"));
-        }
-        Ok((ts, dur, (pid as u64, tid as u64)))
     }
 
-    /// Reads a string at the cursor and returns its contents as
-    /// written (escapes are skipped over, not decoded).
-    fn string(&mut self) -> Result<&'a str, String> {
+    /// The first fault of the event `text[start..self.pos]`, checked in
+    /// a fixed order: `ph` present and `"X"`, then each other field
+    /// present, then `ts` and `dur` finite and non-negative.
+    #[cold]
+    fn event_fault(&self, start: usize, fields: &EventFields) -> String {
+        let raw = &self.text[start..self.pos];
+        let missing = |field: &str| format!("event missing \"{field}\": {raw}");
+        let Some((ph_start, ph_end)) = fields.ph else {
+            return missing("ph");
+        };
+        let ph = &self.text[ph_start..ph_end];
+        if ph != "X" {
+            return format!("unsupported event phase {ph:?}");
+        }
+        let checks = [
+            ("name", fields.name),
+            ("ts", fields.ts.is_some()),
+            ("dur", fields.dur.is_some()),
+            ("pid", fields.pid.is_some()),
+            ("tid", fields.tid.is_some()),
+        ];
+        match checks.iter().find(|(_, present)| !present) {
+            Some((field, _)) => missing(field),
+            None => format!("event has invalid ts/dur: {raw}"),
+        }
+    }
+
+    /// Reads a string at the cursor and returns the byte range of its
+    /// contents as written (escapes are skipped over, not decoded).
+    #[inline]
+    fn string(&mut self) -> Result<(usize, usize), String> {
         if self.peek() != Some(b'"') {
             return Err(self.fault("expected a string"));
         }
-        let bytes = self.text.as_bytes();
         let start = self.pos + 1;
         let mut i = start;
-        while let Some(&b) = bytes.get(i) {
+        while let Some(&b) = self.bytes.get(i) {
             match b {
                 b'"' => {
                     self.pos = i + 1;
-                    return Ok(&self.text[start..i]);
+                    return Ok((start, i));
                 }
                 b'\\' => i += 2,
                 _ => i += 1,
@@ -401,8 +539,56 @@ impl<'a> Cursor<'a> {
         Err(self.fault("unterminated string"))
     }
 
-    /// Reads a number at the cursor with `str::parse::<f64>`.
+    /// Reads the number at the cursor: the run of bytes in
+    /// `[0-9.+-eE]`, read as by `str::parse::<f64>`.
+    ///
+    /// A run of the form `[0-9]+(\.[0-9]*)?` with at most 19 digits
+    /// and a digit string `m` ≤ 2^53 takes Clinger's fast path:
+    /// `m` and `10^k` (k fraction digits, k ≤ 18) are exact doubles,
+    /// so `m / 10^k` is one correctly rounded division, the same
+    /// double `str::parse` rounds to (`5.` reads as 5 either way).
+    /// Every other run (signs, exponents, `.5`, longer or larger
+    /// digit strings, junk) goes to `str::parse`.
+    #[inline]
     fn number(&mut self, key: &str) -> Result<f64, String> {
+        let start = self.pos;
+        let mut m = 0u64;
+        let int_end = self.digits(start, &mut m);
+        let (mut end, mut scale) = (int_end, 0);
+        if self.bytes.get(int_end) == Some(&b'.') {
+            end = self.digits(int_end + 1, &mut m);
+            scale = end - int_end - 1;
+        }
+        let plain = int_end > start
+            && !matches!(self.bytes.get(end), Some(b'.' | b'+' | b'-' | b'e' | b'E'));
+        if plain && int_end - start + scale <= 19 && m <= 1 << 53 {
+            self.pos = end;
+            return Ok(m as f64 / POW10[scale]);
+        }
+        self.parse_number(key)
+    }
+
+    /// Accumulates the decimal digits from `bytes[i]` on into `m`
+    /// (wrapping past 19 digits, which [`Scanner::number`] rejects) and
+    /// returns where they end.
+    #[inline]
+    fn digits(&self, mut i: usize, m: &mut u64) -> usize {
+        while let Some(&b) = self.bytes.get(i) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            *m = m.wrapping_mul(10).wrapping_add(u64::from(d));
+            i += 1;
+        }
+        i
+    }
+
+    /// [`Scanner::number`]'s general path: `str::parse::<f64>` on the
+    /// run of number bytes at the cursor.
+    #[cold]
+    #[inline(never)]
+    fn parse_number(&mut self, key: &str) -> Result<f64, String> {
         let rest = &self.text[self.pos..];
         let len = rest
             .bytes()
@@ -441,7 +627,7 @@ impl<'a> Cursor<'a> {
             }
             _ => {
                 // A number or literal runs to the next delimiter.
-                let rest = &self.text.as_bytes()[self.pos..];
+                let rest = &self.bytes[self.pos..];
                 let len = rest
                     .iter()
                     .position(|c| matches!(c, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r'))
@@ -455,6 +641,17 @@ impl<'a> Cursor<'a> {
         }
     }
 }
+
+/// `10^k` for `k` ≤ 18, each exact in f64 (`5^18 < 2^53`).
+const POW10: [f64; 19] = {
+    let mut table = [1.0; 19];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = table[k - 1] * 10.0;
+        k += 1;
+    }
+    table
+};
 
 /// Half a tick in microseconds. True span boundaries are integer
 /// picosecond ticks, so a real overlap is at least one full tick
@@ -828,6 +1025,8 @@ mod tests {
 
     #[test]
     fn exporter_writes_microseconds_exactly_as_f64_display() {
+        // 2^32 µs: the bottom of the last binade below the bound.
+        let binade = EXACT_DECIMAL_BELOW / 2;
         let edges = [
             0,
             1,
@@ -837,28 +1036,56 @@ mod tests {
             1_000_000,
             1_000_001,
             123_456_789,
+            binade - 1,
+            binade,
+            binade + 1,
             EXACT_DECIMAL_BELOW - 1,
             EXACT_DECIMAL_BELOW,
             EXACT_DECIMAL_BELOW + 1,
             u64::MAX,
         ];
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let random = std::iter::repeat_with(move || {
+        let mut xorshift = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            state >> (state % 64)
+            state
+        };
+        let random: Vec<u64> = (0..50_000)
+            .map(|_| {
+                let r = xorshift();
+                r >> (r % 64)
+            })
+            .collect();
+        // Ticks in [2^32, 2^33) µs.
+        let upper: Vec<u64> = (0..50_000).map(|_| binade + xorshift() % binade).collect();
+        let near_edges = [binade, EXACT_DECIMAL_BELOW].into_iter().flat_map(|edge| {
+            (0..1_000u64).flat_map(move |i| [edge - 1 - i * 999_983, edge + i * 999_983])
         });
-        let near_edge = (0..1_000u64).map(|i| EXACT_DECIMAL_BELOW - 1 - i * 999_983);
         for ticks in edges
             .into_iter()
-            .chain(near_edge)
-            .chain(random.take(50_000))
+            .chain(near_edges)
+            .chain(random)
+            .chain(upper)
         {
-            let mut out = String::new();
+            let mut out = Vec::new();
             push_us(&mut out, ticks);
-            assert_eq!(out, format!("{}", ticks_to_us(ticks)), "ticks {ticks}");
+            assert_eq!(
+                String::from_utf8(out).expect("ASCII"),
+                format!("{}", ticks_to_us(ticks)),
+                "ticks {ticks}"
+            );
         }
+        // The bound is tight: past 2^33 µs adjacent f64 values are
+        // coarser than a tick, and the first tick past the bound does
+        // not print as its exact decimal.
+        let mut exact = Vec::new();
+        push_exact_us(&mut exact, EXACT_DECIMAL_BELOW + 1);
+        assert_eq!(exact, b"8589934592.000001");
+        assert_eq!(
+            format!("{}", ticks_to_us(EXACT_DECIMAL_BELOW + 1)),
+            "8589934592.000002"
+        );
     }
 
     #[test]
@@ -997,6 +1224,167 @@ mod tests {
             .contains("expected an event"));
     }
 
+    /// The full text of every fault the validator reports, byte
+    /// offsets included.
+    #[test]
+    fn validator_error_text_is_pinned() {
+        let ev = event("a", 0.0, 1.0, 0, 0);
+        let whole = trace_of(std::slice::from_ref(&ev));
+        let head = "{\"traceEvents\":[";
+        let mut inputs = vec![
+            trace_of(&[
+                event("p", 1e9, 10.0, 0, 0),
+                event("c", 1e9 + 5.0, 5.001, 0, 0),
+            ]),
+            trace_of(&[event("a", 0.0, -1.0, 0, 0)]),
+            trace_of(&[ev.replace("\"X\"", "\"B\"")]),
+        ];
+        inputs.extend(FIELDS.map(|field| trace_of(&[drop_field(&ev, field)])));
+        inputs.extend(
+            [whole.len() - 2, whole.len() - 10, head.len()].map(|cut| whole[..cut].to_owned()),
+        );
+        inputs.extend([
+            trace_of(&[ev.replace("\"ts\":0", "\"ts\":\"0\"")]),
+            format!("{{\"traceEvents\":[{ev} x]}}"),
+            // A missing ':', a non-string key, an unterminated string.
+            format!("{head}{{\"name\" \"a\"}}]}}"),
+            format!("{head}{{name:\"a\"}}]}}"),
+            format!("{head}{{\"name\":\"a"),
+            format!("{head}{{\"args\":{{\"x\":\"y}}]}}"),
+            // Unterminated nested values.
+            format!("{head}{{\"args\":{{\"a\":[1,2"),
+            format!("{head}{{\"args\":[{{}}, {{\"b\":{{}}]"),
+            // Junk between events.
+            format!("{head}{ev},5,{ev}]}}"),
+            format!("{head}{ev};{ev}]}}"),
+            format!("{head}{ev}\n \u{e9}{ev}]}}"),
+            format!("{head}{ev},[{ev}]]}}"),
+            // The array itself.
+            "not json".to_owned(),
+            "{\"other\":[]}".to_owned(),
+            "{\"traceEvents\": 5}".to_owned(),
+            format!("{head}{ev},"),
+            format!("{head}{{"),
+            format!("{head}{{ "),
+            // Separators and values inside an event.
+            format!("{head}{{\"name\":\"a\" \"ph\":\"X\"}}]}}"),
+            format!("{head}{{\"ph\":5}}]}}"),
+            format!("{head}{{\"name\":}}]}}"),
+            format!("{head}{{\"args\":,\"ph\":\"X\"}}]}}"),
+            format!("{head}{{\"args\":}}]}}"),
+            format!("{head}{{\"x\":tru"),
+            format!("{head}{{\"ts\":5"),
+            format!("{head}{{\"ts\":"),
+            format!("{head}{{\"ts\" :"),
+            // Numbers that do not parse.
+            trace_of(&[ev.replace("\"ts\":0", "\"ts\":-")]),
+            trace_of(&[ev.replace("\"ts\":0", "\"ts\":}")]),
+            trace_of(&[ev.replace("\"dur\":1", "\"dur\":1e")]),
+            trace_of(&[ev.replace("\"pid\":0", "\"pid\":1.2.3")]),
+            trace_of(&[ev.replace("\"tid\":0", "\"tid\":+-1")]),
+            trace_of(&[ev.replace("\"tid\":0", "\"tid\":true")]),
+            trace_of(&[ev.replace("\"dur\":1", "\"dur\":.")]),
+            trace_of(&[ev.replace("\"dur\":1", "\"dur\":1x")]),
+            // Numbers that parse but are not finite, or are negative.
+            trace_of(&[ev.replace("\"ts\":0", "\"ts\":1e999")]),
+            trace_of(&[ev.replace("\"dur\":1", "\"dur\":-1e999")]),
+            trace_of(&[ev.replace("\"ts\":0", "\"ts\":-1e-300")]),
+            // The phase and missing-field texts quote what they read.
+            trace_of(&[ev.replace("\"X\"", "\"\\\"B\\u00e9\"")]),
+            format!("{head}{{ \"ph\" : \"X\",\n\t\"args\":{{\"k\":[1]}} }}]}}"),
+            // Overlaps, late and between tracks.
+            trace_of(&[
+                event("a", 0.0, 10.0, 0, 1),
+                event("b", 0.0, 20.0, 0, 2),
+                event("a1", 5.0, 8.0, 0, 1),
+            ]),
+            trace_of(&[
+                event("p", 8589934592.5, 1.25, 3, 9),
+                event("c", 8589934592.0, 1.0, 3, 9),
+            ]),
+            trace_of(&[
+                event("p", 0.1, 0.2, 0, 0),
+                event("c", 0.15, 0.15000100000000002, 0, 0),
+            ]),
+            // Several faults in one event: the first in a fixed order.
+            trace_of(&[drop_field(&drop_field(&ev, "ts"), "dur")]),
+            trace_of(&[drop_field(&drop_field(&ev, "name"), "tid")]),
+            format!("{head}{{}}]}}"),
+            trace_of(&[drop_field(&ev, "name").replace("\"X\"", "\"B\"")]),
+            trace_of(&[drop_field(&ev, "pid").replace("\"ts\":0", "\"ts\":1e999")]),
+        ]);
+        let expected = [
+            "track pid=0 tid=0: span [1000000005, 1000000010.001] overlaps enclosing span [1000000000, 1000000010]",
+            "event has invalid ts/dur: {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":-1,\"pid\":0,\"tid\":0}",
+            "unsupported event phase \"B\"",
+            "event missing \"ph\": {\"name\":\"a\",\"ts\":0,\"dur\":1,\"pid\":0,\"tid\":0}",
+            "event missing \"name\": {\"ph\":\"X\",\"ts\":0,\"dur\":1,\"pid\":0,\"tid\":0}",
+            "event missing \"ts\": {\"name\":\"a\",\"ph\":\"X\",\"dur\":1,\"pid\":0,\"tid\":0}",
+            "event missing \"dur\": {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"pid\":0,\"tid\":0}",
+            "event missing \"pid\": {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"tid\":0}",
+            "event missing \"tid\": {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"pid\":0}",
+            "unterminated traceEvents array",
+            "unterminated traceEvents array: expected a key or '}' in event at end of input",
+            "unterminated traceEvents array",
+            "\"ts\" is not a number at byte 42",
+            "expected an event object at byte 69",
+            "expected ':' after key at byte 24",
+            "expected a key or '}' in event at byte 17",
+            "unterminated string at byte 24",
+            "unterminated string at byte 29",
+            "unterminated traceEvents array: unterminated value at end of input",
+            "unterminated traceEvents array: unterminated value at end of input",
+            "expected an event object at byte 69",
+            "expected an event object at byte 68",
+            "expected an event object at byte 70",
+            "expected an event object at byte 69",
+            "missing \"traceEvents\" key",
+            "missing \"traceEvents\" key",
+            "missing traceEvents array",
+            "unterminated traceEvents array",
+            "unterminated traceEvents array: expected a key or '}' in event at end of input",
+            "unterminated traceEvents array: expected a key or '}' in event at end of input",
+            "expected ',' or '}' in event at byte 28",
+            "expected a string at byte 22",
+            "expected a string at byte 24",
+            "expected a value at byte 24",
+            "expected a value at byte 24",
+            "unterminated traceEvents array: expected ',' or '}' in event at end of input",
+            "unterminated traceEvents array: expected ',' or '}' in event at end of input",
+            "unterminated traceEvents array: \"ts\" is not a number at end of input",
+            "unterminated traceEvents array: \"ts\" is not a number at end of input",
+            "\"ts\" is not a number at byte 42",
+            "\"ts\" is not a number at byte 42",
+            "\"dur\" is not a number at byte 50",
+            "\"pid\" is not a number at byte 58",
+            "\"tid\" is not a number at byte 66",
+            "\"tid\" is not a number at byte 66",
+            "\"dur\" is not a number at byte 50",
+            "expected ',' or '}' in event at byte 51",
+            "event has invalid ts/dur: {\"name\":\"a\",\"ph\":\"X\",\"ts\":1e999,\"dur\":1,\"pid\":0,\"tid\":0}",
+            "event has invalid ts/dur: {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":-1e999,\"pid\":0,\"tid\":0}",
+            "event has invalid ts/dur: {\"name\":\"a\",\"ph\":\"X\",\"ts\":-1e-300,\"dur\":1,\"pid\":0,\"tid\":0}",
+            "unsupported event phase \"\\\\\\\"B\\\\u00e9\"",
+            "event missing \"name\": { \"ph\" : \"X\",\n\t\"args\":{\"k\":[1]} }",
+            "track pid=0 tid=1: span [5, 13] overlaps enclosing span [0, 10]",
+            "track pid=3 tid=9: span [8589934592, 8589934593] overlaps enclosing span [8589934592.5, 8589934593.75]",
+            "track pid=0 tid=0: span [0.15, 0.300001] overlaps enclosing span [0.1, 0.30000000000000004]",
+            "event missing \"ts\": {\"name\":\"a\",\"ph\":\"X\",\"pid\":0,\"tid\":0}",
+            "event missing \"name\": {\"ph\":\"X\",\"ts\":0,\"dur\":1,\"pid\":0}",
+            "event missing \"ph\": {}",
+            "unsupported event phase \"B\"",
+            "event missing \"pid\": {\"name\":\"a\",\"ph\":\"X\",\"ts\":1e999,\"dur\":1,\"tid\":0}",
+        ];
+        assert_eq!(inputs.len(), expected.len());
+        for (input, want) in inputs.iter().zip(expected) {
+            assert_eq!(
+                validate_chrome_trace(input),
+                Err(want.to_owned()),
+                "{input}"
+            );
+        }
+    }
+
     /// Random traces whose span trees nest: a root per request, tiled
     /// by consecutive children, the last holding one grandchild. Small
     /// pipe/id ranges make requests share tracks; `late` moves a
@@ -1089,6 +1477,105 @@ mod tests {
                     oracle::validate_chrome_trace(&mutated),
                 );
                 prop_assert!(new.is_err() && old.is_err(), "kind {kind}: {new:?} vs {old:?}");
+            }
+        }
+    }
+
+    /// Number texts at the edges of [`Scanner::number`]'s fast path:
+    /// 2^53 and its neighbours (as integers and with the point moved),
+    /// 19 and 20 digits, leading zeros, `5.`, `.5`, signs, exponents,
+    /// and runs that do not parse.
+    const EDGE_NUMBERS: &[&str] = &[
+        "9007199254740992",
+        "9007199254740991",
+        "9007199254740993",
+        "900719925474099.2",
+        "900719925474099.3",
+        "9.007199254740993",
+        "1000000000000000000",
+        "9999999999999999999",
+        "99999999999999999999",
+        "0000000000000000001",
+        "00000000000000000001",
+        "0.000000000000000001",
+        "0.0000000000000000001",
+        "123456789012345678.9",
+        "8589934591.999999",
+        "8589934592.000002",
+        "0.30000000000000004",
+        "5.",
+        ".5",
+        "-0",
+        "+0",
+        "0",
+        "00",
+        "-",
+        "+",
+        ".",
+        "",
+        "e5",
+        "1e5",
+        "1E-5",
+        "1e",
+        "1.2.3",
+        "1e999",
+        "-1e-999",
+        "2.5e+3",
+        "--1",
+    ];
+
+    /// Number texts: an optional sign, 0–25 integer digits (leading
+    /// zeros kept), an optional `.` with 0–25 fraction digits, an
+    /// optional exponent; or one of [`EDGE_NUMBERS`].
+    fn number_text() -> impl Strategy<Value = String> {
+        let digits = || prop::collection::vec(0u8..10, 0..26);
+        (
+            (0usize..4, digits()),
+            (0usize..3, digits()),
+            (0usize..6, -350i32..350),
+            0usize..EDGE_NUMBERS.len() * 4,
+        )
+            .prop_map(|((sign, int), (point, frac), (exp_kind, exp), edge)| {
+                if let Some(text) = EDGE_NUMBERS.get(edge) {
+                    return (*text).to_owned();
+                }
+                let mut text = String::from(["", "-", "+", ""][sign]);
+                text.extend(int.iter().map(|&d| char::from(b'0' + d)));
+                if point > 0 {
+                    text.push('.');
+                }
+                if point > 1 {
+                    text.extend(frac.iter().map(|&d| char::from(b'0' + d)));
+                }
+                match exp_kind {
+                    3 => text.push_str(&format!("e{exp}")),
+                    4 => text.push_str(&format!("E{exp:+}")),
+                    5 => text.push('e'),
+                    _ => {}
+                }
+                text
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The validator's number reader agrees with `str::parse::<f64>`
+        /// bit for bit on the text before a `,`, and fails where it
+        /// fails, with the validator's message.
+        #[test]
+        fn number_reader_matches_str_parse(text in number_text()) {
+            let input = format!("{text},");
+            let mut scan = Scanner { text: &input, bytes: input.as_bytes(), pos: 0 };
+            match (scan.number("ts"), text.parse::<f64>()) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+                    prop_assert_eq!(scan.pos, text.len(), "{text}");
+                }
+                (Err(got), Err(_)) => {
+                    prop_assert_eq!(got, "\"ts\" is not a number at byte 0", "{text}");
+                }
+                (got, want) => prop_assert!(false, "{text}: read {got:?}, parse {want:?}"),
             }
         }
     }

@@ -202,3 +202,60 @@ fn offline_trace_is_sound_and_exact() {
     assert_eq!(stats.events, trace.span_count());
     assert_eq!(stats.tracks, 1);
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The chrome-trace exporter's bytes, pinned as the FNV-1a of two
+/// traces: a sparse online cluster run whose span starts fall below
+/// 2^32 µs, in [2^32, 2^33) µs and past 2^33 µs (the exporter's three
+/// timestamp regimes), and an offline run's per-step spans. Writing
+/// the same trace to an `io::Write` gives the same bytes.
+#[test]
+fn chrome_export_bytes_are_pinned() {
+    let servers = [
+        small_server(PlacementKind::Helm, 2),
+        small_server(PlacementKind::AllCpu, 4),
+    ];
+    let groups: Vec<(&Server, usize)> = servers.iter().map(|s| (s, 1)).collect();
+    let mut arrivals = PoissonArrivals::new(0.005, 7);
+    let (_, online) = run_cluster_mix_traced(
+        &groups,
+        &WorkloadSpec::new(32, 4, 1),
+        &mut arrivals,
+        60,
+        ClusterSpec::new(1),
+        &mut CalibrationCache::new(),
+    )
+    .expect("online run");
+    // Span starts per regime, by whole microseconds (ticks are ps).
+    let mut regimes = [0usize; 3];
+    for span in online.requests.iter().flat_map(|r| &r.spans) {
+        regimes[((span.start / 1_000_000) >> 32).min(2) as usize] += 1;
+    }
+    assert!(
+        regimes.iter().all(|&n| n > 0),
+        "spans per regime: {regimes:?}"
+    );
+    let (_, offline) = paper_server(PlacementKind::Helm, 4)
+        .run_traced(&WorkloadSpec::paper_default())
+        .expect("offline run");
+    for (what, trace, pin) in [
+        ("online", &online, 0xcb1c_711f_5425_1d4b),
+        ("offline", &offline, 0xcf4a_8737_56cf_a6d0),
+    ] {
+        let json = trace.to_chrome_json();
+        assert_eq!(fnv1a(json.as_bytes()), pin, "{what} export changed");
+        let stats = validate_chrome_trace(&json).expect("exported trace validates");
+        assert_eq!(stats.events, trace.span_count());
+        let mut streamed = Vec::new();
+        trace
+            .write_chrome_json(&mut streamed)
+            .expect("writing to a Vec cannot fail");
+        assert_eq!(streamed, json.as_bytes(), "{what}: streamed bytes differ");
+    }
+}
