@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use bench::{print_table, section};
+use bench::WriteReport;
 use helm_core::autoplace::{search, search_in, Objective, SearchBudget, SearchSpace};
 use helm_core::exec::{run_pipeline, PipelineInputs};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
@@ -91,6 +91,7 @@ fn serial_coarse_reference(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut out = String::new();
     let model = ModelConfig::opt_175b();
     let workload = WorkloadSpec::paper_default();
     let memory = HostMemoryConfig::nvdram();
@@ -99,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_compression(true)
         .with_batch_size(1);
 
-    section("search cost: serial coarse sweep vs engine (latency objective)");
+    out.section("search cost: serial coarse sweep vs engine (latency objective)");
     // Untimed warmup so the timed rows compare steady-state code, not
     // first-touch page faults and cold branch predictors.
     std::hint::black_box(search(
@@ -164,12 +165,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         winner = Some(auto);
     }
-    print_table(
+    out.table(
         &[
             "search", "wall(ms)", "evals", "pruned", "speedup", "TBT(ms)",
         ],
         &rows,
     );
+    print!("{}", std::mem::take(&mut out));
 
     // Hard no-regression gate: at its default budget the engine must
     // not lose to the serial sweep it replaced. Screening on template
@@ -187,7 +189,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let auto = winner.ok_or("no search ran")?;
 
-    section("0.5% lattice: the finest descent, same no-regression gate");
+    out.section("0.5% lattice: the finest descent, same no-regression gate");
     // The half-percent space is 4x the 1% lattice (201x201 points);
     // the multi-resolution schedule must still clear the serial 10%
     // sweep outright at this larger budget — the hard gate below
@@ -205,7 +207,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let fine_speedup = serial_ms / fine.stats.wall_ms;
-    print_table(
+    out.table(
         &[
             "search", "wall(ms)", "evals", "pruned", "speedup", "TBT(ms)",
         ],
@@ -220,6 +222,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ],
         )],
     );
+    print!("{}", std::mem::take(&mut out));
     if fine_speedup < 1.0 {
         return Err(format!(
             "0.5%-lattice search slower than the serial sweep: \
@@ -236,7 +239,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    section("joint {placement x batch} space (throughput objective)");
+    out.section("joint {placement x batch} space (throughput objective)");
     let joint_batches = vec![1u32, 4, 8, 44];
     let joint = search_in(
         &system,
@@ -250,7 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batches: joint_batches.clone(),
         },
     )?;
-    print_table(
+    out.table(
         &["search", "tok/s", "batch", "MHA gpu%", "FFN gpu%"],
         &[(
             "joint batch list".to_owned(),
@@ -262,6 +265,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ],
         )],
     );
+    print!("{}", std::mem::take(&mut out));
     if !joint_batches.contains(&joint.batch) {
         return Err(format!(
             "joint search chose batch {} outside its listed space {joint_batches:?}",
@@ -270,14 +274,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    section("quality: fine-search winner vs hand-built policies");
+    out.section("quality: fine-search winner vs hand-built policies");
     let helm = Server::new(
         system.clone(),
         model.clone(),
         policy.clone().with_placement(PlacementKind::Helm),
     )?
     .run(&workload)?;
-    print_table(
+    out.table(
         &["policy", "TBT(ms)", "MHA gpu%", "FFN gpu%"],
         &[
             (
@@ -294,8 +298,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ],
     );
+    print!("{}", std::mem::take(&mut out));
 
-    section("throughput objective rediscovers All-CPU");
+    out.section("throughput objective rediscovers All-CPU");
     let allcpu = Server::new(
         system.clone(),
         model.clone(),
@@ -313,7 +318,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Objective::Throughput,
         SearchBudget::default(),
     )?;
-    print_table(
+    out.table(
         &["policy", "tok/s", "batch", "FFN gpu%"],
         &[
             (
@@ -330,6 +335,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ],
     );
+    print!("{}", std::mem::take(&mut out));
 
     let json = format!(
         "{{\n  \"model\": \"{}\",\n  \"memory\": \"{}\",\n  \"objective\": \"latency\",\n  \

@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use bench::{print_table, section};
+use bench::WriteReport;
 use helm_core::exec::RecordMode;
 use helm_core::online::{
     run_cluster_mix, run_cluster_mix_traced, CalibrationCache, ClusterReport, ClusterSpec,
@@ -98,6 +98,7 @@ fn run_tier(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut out = String::new();
     let quick = std::env::args().any(|a| a == "--quick");
     // Audits are compiled out of release builds by default; the whole
     // point here is exact ledgers at 1e6 counts, so force them on and
@@ -139,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Wall-time floor misses, reported after every axis has run.
     let mut floor_misses: Vec<String> = Vec::new();
 
-    section("throughput: aggregate-mode mixed cluster");
+    out.section("throughput: aggregate-mode mixed cluster");
     let volumes: &[usize] = if quick {
         &[10_000, 100_000]
     } else {
@@ -183,7 +184,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    print_table(
+    out.table(
         &[
             "volume",
             "wall(ms)",
@@ -194,6 +195,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
         &rows,
     );
+    print!("{}", std::mem::take(&mut out));
 
     let largest = tiers.last().ok_or("no tier ran")?;
     let events_per_s = largest.report.events as f64 / largest.wall_s;
@@ -205,7 +207,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    section("granularity axis: per-step vs coalesced, continuous batching");
+    out.section("granularity axis: per-step vs coalesced, continuous batching");
     // Continuous batching is where macro-stepping bites: every decode
     // step is one work unit, so per-step granularity pays one
     // priority-queue round-trip per token while coalesced replays the
@@ -272,7 +274,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n as f64 / coal.wall_s,
         ));
     }
-    print_table(
+    out.table(
         &[
             "volume",
             "step(ms)",
@@ -283,6 +285,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
         &gran_rows,
     );
+    print!("{}", std::mem::take(&mut out));
     let (gran_n, step_s, coal_s) = gran_largest;
     if step_s / coal_s < GRANULARITY_SPEEDUP_FLOOR {
         floor_misses.push(format!(
@@ -295,7 +298,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    section("tracing axis: span collection on vs off at n = 1e4");
+    out.section("tracing axis: span collection on vs off at n = 1e4");
     // Tracing is a side channel: the traced run must produce a
     // byte-identical report (attribution is computed unconditionally;
     // only the span trees ride the extra channel), and the untraced
@@ -336,7 +339,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chrome_stats = validate_chrome_trace(&chrome)
         .map_err(|e| format!("exported chrome trace invalid: {e}"))?;
     let trace_overhead = traced_wall_s / untraced.wall_s;
-    print_table(
+    out.table(
         &["axis", "wall(ms)", "spans", "events", "requests/s"],
         &[
             (
@@ -359,6 +362,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ],
     );
+    print!("{}", std::mem::take(&mut out));
     let trace_json = format!(
         "{{\n  \"model\": \"{}\",\n  \"memory\": \"{}\",\n  \"num_requests\": {trace_n},\n  \
          \"untraced_wall_s\": {:.3},\n  \"traced_wall_s\": {:.3},\n  \

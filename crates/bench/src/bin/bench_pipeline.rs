@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use bench::{print_table, section};
+use bench::WriteReport;
 use helm_core::exec::{
     run_pipeline_reference, run_pipeline_with, LayerCostTable, PipelineInputs, RecordMode,
 };
@@ -110,6 +110,7 @@ where
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut out = String::new();
     let quick = std::env::args().any(|a| a == "--quick");
     let iters = if quick { 4 } else { 60 };
 
@@ -129,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload: &workload,
     };
 
-    section(&format!(
+    out.section(&format!(
         "pipeline hot loop: {} x {} iterations ({} layers x {} tokens/run)",
         model.name(),
         iters,
@@ -155,7 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let full_speedup = full_sps / seed_sps;
     let agg_speedup = agg_sps / seed_sps;
-    print_table(
+    out.table(
         &["variant", "steps/s", "speedup"],
         &[
             ("seed (full records)".to_owned(), vec![seed_sps, 1.0]),
@@ -163,8 +164,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("table + Aggregate".to_owned(), vec![agg_sps, agg_speedup]),
         ],
     );
+    print!("{}", std::mem::take(&mut out));
 
-    section("serial coarse placement sweep (seed evaluator vs table + Aggregate)");
+    out.section("serial coarse placement sweep (seed evaluator vs table + Aggregate)");
     let (seed_ms, seed_evals, seed_best) =
         coarse_sweep(&system, &model, &policy, &workload, |inp| {
             Ok(run_pipeline_reference(inp)?.tbt_ms())
@@ -176,7 +178,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })?;
     let winner_unchanged = seed_evals == fast_evals && seed_best == fast_best;
     let sweep_speedup = seed_ms / fast_ms;
-    print_table(
+    out.table(
         &["sweep", "wall(ms)", "evals", "best TBT(ms)"],
         &[
             (
@@ -189,6 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ],
     );
+    print!("{}", std::mem::take(&mut out));
     println!("\nsweep speedup {sweep_speedup:.2}x, winner bit-identical: {winner_unchanged}");
 
     let json = format!(

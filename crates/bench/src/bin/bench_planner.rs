@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use bench::section;
+use bench::WriteReport;
 use helm_core::exec::RecordMode;
 use helm_core::online::{
     run_cluster_mix, run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec,
@@ -203,6 +203,7 @@ fn fingerprint(report: &PlanReport) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut out = String::new();
     let quick = std::env::args().any(|a| a == "--quick");
     // Force conservation audits on in release so the confirmation
     // gate checks real ledgers, absorbing their cost in every
@@ -229,7 +230,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|t| server.reconfigured(t.placement, t.batch))
         .collect::<Result<Vec<_>, _>>()?;
 
-    section("naive exhaustive scans (no bound)");
+    out.section("naive exhaustive scans (no bound)");
+    print!("{}", std::mem::take(&mut out));
     let cold = naive_scan(&servers, &workload, &traffic, &space, None)?;
     let mut memo = CalibrationCache::new();
     let cached = naive_scan(&servers, &workload, &traffic, &space, Some(&mut memo))?;
@@ -250,7 +252,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         memo.calibrations()
     );
 
-    section("planner (bound + calibrate-once + early exit)");
+    out.section("planner (bound + calibrate-once + early exit)");
+    print!("{}", std::mem::take(&mut out));
     let budget = SearchBudget::default();
     let planned = plan(&server, &workload, &traffic, target, &space, budget)?;
     let rerun = plan(&server, &workload, &traffic, target, &space, budget)?;
@@ -269,7 +272,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         planned.chosen.admission
     );
 
-    section("gates");
+    out.section("gates");
+    print!("{}", std::mem::take(&mut out));
     if !planned.feasible || !cold.feasible {
         return Err(format!(
             "scenario must be feasible for both searches (planner {}, exhaustive {})",

@@ -20,32 +20,17 @@
 //! Results land in `output/BENCH_admission.json`. `--quick` shrinks
 //! the sweep for CI smoke runs.
 
-use bench::{print_table, section};
+use bench::{paper_server, WriteReport};
 use helm_core::online::{
     run_cluster_mix, AdmissionPolicy, ClusterReport, ClusterSpec, DeadlineSpec, PoissonArrivals,
     SchedulerKind,
 };
 use helm_core::placement::PlacementKind;
-use helm_core::policy::Policy;
 use helm_core::server::Server;
-use helm_core::system::SystemConfig;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
 use simcore::SimDuration;
 use workload::WorkloadSpec;
-
-fn server(placement: PlacementKind, batch: u32) -> Result<Server, helm_core::HelmError> {
-    let model = ModelConfig::opt_175b();
-    let policy = Policy::paper_default(&model, hetmem::MemoryConfigKind::NvDram)
-        .with_placement(placement)
-        .with_compression(true)
-        .with_batch_size(batch);
-    Server::new(
-        SystemConfig::paper_platform(HostMemoryConfig::nvdram()),
-        model,
-        policy,
-    )
-}
 
 /// One sweep cell: the mix cluster at (`lambda`, `slo`) under
 /// `admission`. Fails the bench if the run's request ledger is dirty.
@@ -77,6 +62,7 @@ fn run_cell(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut out = String::new();
     simaudit::force_enable();
     let quick = std::env::args().any(|a| a == "--quick");
     let n = if quick { 60 } else { 200 };
@@ -94,11 +80,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[200.0, 400.0, 800.0]
     };
 
+    let server = |placement, batch| {
+        paper_server(ModelConfig::opt_175b(), HostMemoryConfig::nvdram(), |p| {
+            p.with_placement(placement)
+                .with_compression(true)
+                .with_batch_size(batch)
+        })
+    };
     let helm = server(PlacementKind::Helm, 4)?;
     let allcpu = server(PlacementKind::AllCpu, 44)?;
     let groups = [(&helm, 1usize), (&allcpu, 1usize)];
 
-    section(&format!(
+    out.section(&format!(
         "admission control on {{HeLM b=4, All-CPU b=44}} mix (OPT-175B, NVDRAM, n={n})"
     ));
 
@@ -136,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cells.push((slo_s, lambda, open, gated));
         }
     }
-    print_table(
+    out.table(
         &[
             "cell",
             "open attain",
@@ -147,6 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
         &rows,
     );
+    print!("{}", std::mem::take(&mut out));
 
     // The demonstrated claim: at the saturating arrival rate,
     // deadline-feasible admission does not lose goodput — rejecting

@@ -1,7 +1,10 @@
-//! The raw data behind the paper's figures, as the CSV files of the
-//! artifact's `output/` directory. `export_data` writes them; the test
-//! below pins them byte for byte to the committed copies.
+//! The raw data behind the paper's figures and tables, as the files
+//! of the artifact's `output/` directory: one CSV per figure series,
+//! and each experiment's report as `experiments/<name>.txt`.
+//! `export_data` writes them; the test below pins them byte for byte
+//! to the committed copies.
 
+use crate::experiments::EXPERIMENTS;
 use crate::run_serving;
 use helm_core::metrics::{RunReport, Stage};
 use helm_core::placement::PlacementKind;
@@ -9,18 +12,33 @@ use helm_core::HelmError;
 use hetmem::HostMemoryConfig;
 use llm::layers::LayerKind;
 use llm::ModelConfig;
+use std::error::Error;
 use std::fmt::Write as _;
 use workload::WorkloadSpec;
 use xfer::nvbandwidth;
 use xfer::path::PathModel;
 
-/// Every figure CSV as `(file name, contents)`, in the order
-/// `export_data` writes them.
+/// Every pinned output file as `(path under output/, contents)`: the
+/// figure CSVs, then each experiment's report in registry order.
 ///
 /// # Errors
 ///
-/// Propagates a serving configuration that fails to place.
-pub fn figure_data() -> Result<Vec<(&'static str, String)>, HelmError> {
+/// The first figure or experiment that fails.
+pub fn figure_data() -> Result<Vec<(String, String)>, Box<dyn Error>> {
+    let mut files: Vec<_> = figure_csvs()?
+        .into_iter()
+        .map(|(name, csv)| (name.to_owned(), csv))
+        .collect();
+    for (name, experiment) in EXPERIMENTS {
+        let mut text = String::new();
+        experiment(&mut text).map_err(|e| format!("{name}: {e}"))?;
+        files.push((format!("experiments/{name}.txt"), text));
+    }
+    Ok(files)
+}
+
+/// Every figure CSV as `(file name, contents)`.
+fn figure_csvs() -> Result<Vec<(&'static str, String)>, HelmError> {
     let ws = WorkloadSpec::paper_default();
     let mut files = vec![("fig3_bandwidth.csv", fig3())];
 
@@ -163,34 +181,40 @@ fn overlap_rows(runs: &[(String, RunReport)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
+    use crate::experiment_names;
+    use std::path::{Path, PathBuf};
 
-    /// Every figure CSV regenerates byte for byte from the committed
-    /// `output/` copy. A model change that moves any figure fails here,
-    /// naming each file that moved and its first differing line.
+    fn output_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../output")
+    }
+
+    /// Every figure CSV and every experiment report regenerates byte
+    /// for byte from the committed `output/` copy. A model change that
+    /// moves any of them fails here, naming each file that moved and
+    /// its first differing line.
     #[test]
     fn figure_data_matches_committed_output() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../output");
-        let files = figure_data().expect("every figure configuration places");
-        assert_eq!(files.len(), 7);
+        let dir = output_dir();
+        let files = figure_data().expect("every figure and experiment runs");
+        assert_eq!(files.len(), 7 + 24);
         let mut mismatches = Vec::new();
-        for (name, csv) in &files {
+        for (name, text) in &files {
             let committed = std::fs::read_to_string(dir.join(name))
                 .unwrap_or_else(|e| format!("<unreadable: {e}>"));
-            if committed == *csv {
+            if committed == *text {
                 continue;
             }
             let line = committed
                 .lines()
-                .zip(csv.lines())
+                .zip(text.lines())
                 .position(|(want, got)| want != got)
-                .unwrap_or_else(|| committed.lines().count().min(csv.lines().count()));
+                .unwrap_or_else(|| committed.lines().count().min(text.lines().count()));
             let at = |text: &str| text.lines().nth(line).unwrap_or("<eof>").to_owned();
             mismatches.push(format!(
                 "{name}: line {}: committed `{}`, regenerated `{}`",
                 line + 1,
                 at(&committed),
-                at(csv)
+                at(text)
             ));
         }
         assert!(
@@ -198,5 +222,23 @@ mod tests {
             "figure data differs from output/:\n{}",
             mismatches.join("\n")
         );
+    }
+
+    /// `output/experiments/` holds one report per registered
+    /// experiment and nothing else, so an experiment without a pin
+    /// file, or a pin file without an experiment, fails.
+    #[test]
+    fn experiment_pins_match_the_registry() {
+        let mut pinned: Vec<String> = std::fs::read_dir(output_dir().join("experiments"))
+            .expect("output/experiments/ is readable")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .map(|name| name.to_string_lossy().into_owned())
+            .collect();
+        pinned.sort();
+        let mut registered: Vec<String> = experiment_names()
+            .map(|name| format!("{name}.txt"))
+            .collect();
+        registered.sort();
+        assert_eq!(pinned, registered);
     }
 }

@@ -1,17 +1,22 @@
-//! # bench — experiment harnesses
+//! # bench — the paper scorecard and the simulator's host-time benchmarks
 //!
-//! One binary per table and figure of the paper (see `src/bin/`),
-//! plus the host-time benchmarks of the simulator itself (`bench_des`,
-//! `bench_pipeline`, `bench_planner` and `bench_e2e`). This library
-//! holds the shared plumbing: convenience runners over the serving
-//! stack, paper-vs-measured report formatting, and the figure data
-//! that `export_data` writes and a test pins to `output/`.
+//! This library holds every experiment of the paper's evaluation and
+//! of its extensions, each a function that writes its paper-vs-measured
+//! report into a `String` (see [`run_experiments`]). It also holds
+//! the shared plumbing: a paper-platform server builder, the report
+//! formatting, and the raw figure data that `export_data` writes and a
+//! test pins to `output/`.
 //!
-//! Run everything with:
+//! Run every experiment, or only the named ones, with:
 //!
 //! ```text
-//! cargo run -p bench --release --bin all_experiments
+//! cargo run -p bench --release --bin experiments [-- NAME...]
 //! ```
+//!
+//! The host-time benchmarks of the simulator itself (`bench_des`,
+//! `bench_pipeline`, `bench_planner`, `bench_e2e`, and the
+//! `ablation_autoplace` and `online_admission` harnesses, which time
+//! wall clock and gate on it) stay binaries under `src/bin/`.
 
 use helm_core::metrics::RunReport;
 use helm_core::placement::PlacementKind;
@@ -21,10 +26,28 @@ use helm_core::system::SystemConfig;
 use helm_core::HelmError;
 use hetmem::HostMemoryConfig;
 use llm::ModelConfig;
+use std::fmt::Write as _;
 use workload::WorkloadSpec;
 
+mod experiments;
 mod figures;
+pub use experiments::{experiment_names, run_experiments};
 pub use figures::figure_data;
+
+/// The paper's platform (Table I) serving `model` from `memory`,
+/// under the paper-default policy for the pair as `tune` adjusts it.
+///
+/// # Errors
+///
+/// As [`Server::new`]: the placement must fit the platform's tiers.
+pub fn paper_server(
+    model: ModelConfig,
+    memory: HostMemoryConfig,
+    tune: impl FnOnce(Policy) -> Policy,
+) -> Result<Server, HelmError> {
+    let policy = tune(Policy::paper_default(&model, memory.kind()));
+    Server::new(SystemConfig::paper_platform(memory), model, policy)
+}
 
 /// Builds and runs one serving configuration with the paper-default
 /// distribution for the model/memory pair.
@@ -41,12 +64,12 @@ pub fn run_serving(
     batch: u32,
     workload: &WorkloadSpec,
 ) -> Result<RunReport, HelmError> {
-    let policy = Policy::paper_default(&model, memory.kind())
-        .with_placement(placement)
-        .with_compression(compressed)
-        .with_batch_size(batch);
-    let server = Server::new(SystemConfig::paper_platform(memory), model, policy)?;
-    server.run_unchecked(workload)
+    paper_server(model, memory, |p| {
+        p.with_placement(placement)
+            .with_compression(compressed)
+            .with_batch_size(batch)
+    })?
+    .run_unchecked(workload)
 }
 
 /// A paper-vs-measured comparison row.
@@ -89,46 +112,60 @@ impl Comparison {
     }
 }
 
-/// Prints a section header.
-pub fn section(title: &str) {
-    println!();
-    println!("== {title} ==");
-    println!("{}", "-".repeat(title.len() + 6));
+/// The report blocks every experiment writes: section headers,
+/// paper-vs-measured rows and numeric tables, appended to a `String`.
+pub trait WriteReport {
+    /// Appends a section header.
+    fn section(&mut self, title: &str);
+
+    /// Appends a block of paper-vs-measured rows with deviations.
+    fn comparisons(&mut self, rows: &[Comparison]);
+
+    /// Appends a fixed-width numeric table: header row plus rows of
+    /// (label, values).
+    fn table(&mut self, headers: &[&str], rows: &[(String, Vec<f64>)]);
 }
 
-/// Prints a block of paper-vs-measured rows with deviations.
-pub fn print_comparisons(rows: &[Comparison]) {
-    println!(
-        "{:<52} {:>12} {:>12} {:>8}",
-        "metric", "paper", "measured", "dev"
-    );
-    for row in rows {
-        println!(
-            "{:<52} {:>9.2} {:>2} {:>9.2} {:>2} {:>+7.1}%",
-            row.label,
-            row.paper,
-            row.unit,
-            row.measured,
-            row.unit,
-            row.deviation() * 100.0
+impl WriteReport for String {
+    fn section(&mut self, title: &str) {
+        let _ = writeln!(self, "\n== {title} ==\n{}", "-".repeat(title.len() + 6));
+    }
+
+    fn comparisons(&mut self, rows: &[Comparison]) {
+        let _ = writeln!(
+            self,
+            "{:<52} {:>12} {:>12} {:>8}",
+            "metric", "paper", "measured", "dev"
         );
-    }
-}
-
-/// Formats a fixed-width numeric table: header row plus rows of
-/// (label, values).
-pub fn print_table(headers: &[&str], rows: &[(String, Vec<f64>)]) {
-    print!("{:<28}", headers[0]);
-    for h in &headers[1..] {
-        print!(" {h:>12}");
-    }
-    println!();
-    for (label, values) in rows {
-        print!("{label:<28}");
-        for v in values {
-            print!(" {v:>12.3}");
+        for row in rows {
+            let _ = writeln!(
+                self,
+                "{:<52} {:>9.2} {:>2} {:>9.2} {:>2} {:>+7.1}%",
+                row.label,
+                row.paper,
+                row.unit,
+                row.measured,
+                row.unit,
+                row.deviation() * 100.0
+            );
         }
-        println!();
+    }
+
+    fn table(&mut self, headers: &[&str], rows: &[(String, Vec<f64>)]) {
+        if let Some((first, rest)) = headers.split_first() {
+            let _ = write!(self, "{first:<28}");
+            for h in rest {
+                let _ = write!(self, " {h:>12}");
+            }
+            self.push('\n');
+        }
+        for (label, values) in rows {
+            let _ = write!(self, "{label:<28}");
+            for v in values {
+                let _ = write!(self, " {v:>12.3}");
+            }
+            self.push('\n');
+        }
     }
 }
 
