@@ -362,6 +362,13 @@ mod tests {
                 ("nondeterministic-iteration", 2)
             ]
         );
+        // The bench crate renders the pinned experiment reports.
+        assert_eq!(
+            scan_file("crates/bench/src/experiments/mod.rs", src)
+                .findings
+                .len(),
+            2
+        );
         // Negative: non-sim crate, and BTreeMap anywhere.
         assert!(scan_file("crates/xtask/src/state.rs", src)
             .findings
@@ -380,10 +387,18 @@ mod tests {
             triples(&scan.findings),
             vec![("wall-clock-in-sim", 1), ("wall-clock-in-sim", 2)]
         );
-        // The bench harness may measure real time.
-        assert!(scan_file("crates/bench/src/main.rs", src)
+        // The bench binaries and xtask may measure real time; the bench
+        // library, which renders the pinned reports, may not.
+        assert!(scan_file("crates/bench/src/bin/bench_des.rs", src)
             .findings
             .is_empty());
+        assert!(scan_file("crates/xtask/src/lint.rs", src)
+            .findings
+            .is_empty());
+        assert_eq!(
+            triples(&scan_file("crates/bench/src/lib.rs", src).findings),
+            vec![("wall-clock-in-sim", 1), ("wall-clock-in-sim", 2)]
+        );
         // Test code may too.
         let test_src = "#[cfg(test)]\nmod tests {\n use std::time::Instant;\n}\n";
         assert!(scan_file("crates/core/src/engine.rs", test_src)

@@ -12,14 +12,17 @@ use crate::lexer::TokKind;
 
 /// Crates whose code paths feed simulated results: hash-order
 /// iteration there can reach f64 accumulation, report ordering, or
-/// event scheduling.
+/// event scheduling. `bench` is one too: its library renders the
+/// experiment reports that `output/experiments/` pins byte for byte.
 pub const SIM_CRATES: &[&str] = &[
-    "simcore", "hetmem", "xfer", "gpusim", "llm", "workload", "core",
+    "simcore", "hetmem", "xfer", "gpusim", "llm", "workload", "core", "bench",
 ];
 
-/// Crates allowed to read the wall clock (the bench harness measures
-/// real elapsed time; xtask is tooling).
-pub const WALL_CLOCK_CRATES: &[&str] = &["bench", "xtask"];
+/// Path prefixes allowed to read the wall clock: the bench binaries
+/// measure real elapsed time, and xtask is tooling. The bench library
+/// is not among them, because the pinned experiment reports come from
+/// it.
+pub const WALL_CLOCK_PATHS: &[&str] = &["crates/bench/src/bin/", "crates/xtask/"];
 
 /// Rayon-style parallel iterator sources.
 const PAR_SOURCES: &[&str] = &[
@@ -64,11 +67,14 @@ pub fn nondeterministic_iteration(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 }
 
 /// `wall-clock-in-sim`: `Instant`/`SystemTime` outside the bench
-/// harness. Simulated time lives in `SimTime`; wall-clock reads in
-/// sim code are either a bug or deliberate run-metadata (the
+/// binaries and xtask. Simulated time lives in `SimTime`; wall-clock
+/// reads in sim code are either a bug or deliberate run-metadata (the
 /// `SearchStats.wall_ms` case), which takes a waiver.
 pub fn wall_clock_in_sim(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if WALL_CLOCK_CRATES.contains(&ctx.crate_name) {
+    if WALL_CLOCK_PATHS
+        .iter()
+        .any(|prefix| ctx.rel_path.starts_with(prefix))
+    {
         return;
     }
     for (i, t) in ctx.parsed.tokens.iter().enumerate() {
