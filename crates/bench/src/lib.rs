@@ -96,19 +96,16 @@ impl Comparison {
         }
     }
 
-    /// Relative deviation of measured from paper (fraction).
-    pub fn deviation(&self) -> f64 {
-        if self.paper == 0.0 {
-            0.0
-        } else {
-            (self.measured - self.paper) / self.paper
-        }
+    /// Relative deviation of measured from paper (fraction), or `None`
+    /// when the paper's value is 0 and no relative deviation exists.
+    pub fn deviation(&self) -> Option<f64> {
+        (self.paper != 0.0).then(|| (self.measured - self.paper) / self.paper)
     }
 
     /// Whether the *shape* holds: same sign/side and within the given
-    /// relative tolerance.
+    /// relative tolerance. Never true for a paper value of 0.
     pub fn within(&self, tolerance: f64) -> bool {
-        self.deviation().abs() <= tolerance
+        self.deviation().is_some_and(|d| d.abs() <= tolerance)
     }
 }
 
@@ -138,15 +135,14 @@ impl WriteReport for String {
             "metric", "paper", "measured", "dev"
         );
         for row in rows {
+            let dev = match row.deviation() {
+                Some(d) => format!("{:>+7.1}%", d * 100.0),
+                None => format!("{:>8}", "n/a"),
+            };
             let _ = writeln!(
                 self,
-                "{:<52} {:>9.2} {:>2} {:>9.2} {:>2} {:>+7.1}%",
-                row.label,
-                row.paper,
-                row.unit,
-                row.measured,
-                row.unit,
-                row.deviation() * 100.0
+                "{:<52} {:>9.2} {:>2} {:>9.2} {:>2} {dev}",
+                row.label, row.paper, row.unit, row.measured, row.unit,
             );
         }
     }
@@ -177,9 +173,23 @@ mod tests {
     #[test]
     fn comparison_math() {
         let c = Comparison::new("x", 10.0, 12.0, "ms");
-        assert!((c.deviation() - 0.2).abs() < 1e-12);
+        assert!((c.deviation().unwrap() - 0.2).abs() < 1e-12);
         assert!(c.within(0.25));
         assert!(!c.within(0.1));
+        // A paper value of 0 has no relative deviation, whatever was
+        // measured, and prints `n/a` in the dev column.
+        for measured in [0.0, 0.04, -3.0] {
+            let zero = Comparison::new("z", 0.0, measured, "%");
+            assert_eq!(zero.deviation(), None);
+            assert!(!zero.within(f64::INFINITY));
+        }
+        let mut out = String::new();
+        out.comparisons(&[c, Comparison::new("z", 0.0, 0.04, "%")]);
+        let lines: Vec<_> = out.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[1].ends_with("   +20.0%"), "{}", lines[1]);
+        assert!(lines[2].ends_with("      n/a"), "{}", lines[2]);
+        assert_eq!(lines[1].len(), lines[2].len());
     }
 
     #[test]
