@@ -25,14 +25,28 @@ use xfer::path::PathModel;
 ///
 /// The first figure or experiment that fails.
 pub fn figure_data() -> Result<Vec<(String, String)>, Box<dyn Error>> {
+    let mut files = Vec::new();
+    for (path, text, failure) in regenerate()? {
+        if let Some(e) = failure {
+            return Err(format!("{path}: {e}").into());
+        }
+        files.push((path, text));
+    }
+    Ok(files)
+}
+
+/// [`figure_data`]'s files, each with the error that cut it short. A
+/// failed experiment keeps the text it wrote before failing, so the
+/// pin can still name the first line that differs.
+fn regenerate() -> Result<Vec<(String, String, Option<String>)>, HelmError> {
     let mut files: Vec<_> = figure_csvs()?
         .into_iter()
-        .map(|(name, csv)| (name.to_owned(), csv))
+        .map(|(name, csv)| (name.to_owned(), csv, None))
         .collect();
     for (name, experiment) in EXPERIMENTS {
         let mut text = String::new();
-        experiment(&mut text).map_err(|e| format!("{name}: {e}"))?;
-        files.push((format!("experiments/{name}.txt"), text));
+        let failure = experiment(&mut text).err().map(|e| e.to_string());
+        files.push((format!("experiments/{name}.txt"), text, failure));
     }
     Ok(files)
 }
@@ -191,15 +205,20 @@ mod tests {
     /// Every figure CSV and every experiment report regenerates byte
     /// for byte from the committed `output/` copy. A model change that
     /// moves any of them fails here, naming each file that moved and
-    /// its first differing line.
+    /// its first differing line; an experiment that fails ends its
+    /// text with an `error:` line.
     #[test]
     fn figure_data_matches_committed_output() {
         let dir = output_dir();
-        let files = figure_data().expect("every figure and experiment runs");
+        let files = regenerate().expect("every figure configuration places");
         assert_eq!(files.len(), 7 + 24);
         let mut mismatches = Vec::new();
-        for (name, text) in &files {
-            let committed = std::fs::read_to_string(dir.join(name))
+        for (name, mut text, failure) in files {
+            if let Some(e) = failure {
+                let _ = writeln!(text, "error: {e}");
+            }
+            let text = &text;
+            let committed = std::fs::read_to_string(dir.join(&name))
                 .unwrap_or_else(|e| format!("<unreadable: {e}>"));
             if committed == *text {
                 continue;
