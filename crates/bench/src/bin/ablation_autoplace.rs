@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use bench::WriteReport;
+use bench::{section, table};
 use helm_core::autoplace::{search, search_in, Objective, SearchBudget, SearchSpace};
 use helm_core::exec::{run_pipeline, PipelineInputs};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
@@ -91,7 +91,6 @@ fn serial_coarse_reference(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut out = String::new();
     let model = ModelConfig::opt_175b();
     let workload = WorkloadSpec::paper_default();
     let memory = HostMemoryConfig::nvdram();
@@ -100,7 +99,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_compression(true)
         .with_batch_size(1);
 
-    out.section("search cost: serial coarse sweep vs engine (latency objective)");
+    print!(
+        "{}",
+        section("search cost: serial coarse sweep vs engine (latency objective)")
+    );
     // Untimed warmup so the timed rows compare steady-state code, not
     // first-touch page faults and cold branch predictors.
     std::hint::black_box(search(
@@ -165,13 +167,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         winner = Some(auto);
     }
-    out.table(
-        &[
-            "search", "wall(ms)", "evals", "pruned", "speedup", "TBT(ms)",
-        ],
-        &rows,
+    print!(
+        "{}",
+        table(
+            &["search", "wall(ms)", "evals", "pruned", "speedup", "TBT(ms)",],
+            &rows,
+        )
     );
-    print!("{}", std::mem::take(&mut out));
 
     // Hard no-regression gate: at its default budget the engine must
     // not lose to the serial sweep it replaced. Screening on template
@@ -189,7 +191,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let auto = winner.ok_or("no search ran")?;
 
-    out.section("0.5% lattice: the finest descent, same no-regression gate");
+    print!(
+        "{}",
+        section("0.5% lattice: the finest descent, same no-regression gate")
+    );
     // The half-percent space is 4x the 1% lattice (201x201 points);
     // the multi-resolution schedule must still clear the serial 10%
     // sweep outright at this larger budget — the hard gate below
@@ -207,22 +212,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let fine_speedup = serial_ms / fine.stats.wall_ms;
-    out.table(
-        &[
-            "search", "wall(ms)", "evals", "pruned", "speedup", "TBT(ms)",
-        ],
-        &[(
-            "engine, 0.5% lattice".to_owned(),
-            vec![
-                fine.stats.wall_ms,
-                fine.stats.evaluated as f64,
-                fine.stats.pruned as f64,
-                fine_speedup,
-                fine.report.tbt_ms(),
-            ],
-        )],
+    print!(
+        "{}",
+        table(
+            &["search", "wall(ms)", "evals", "pruned", "speedup", "TBT(ms)",],
+            &[(
+                "engine, 0.5% lattice".to_owned(),
+                vec![
+                    fine.stats.wall_ms,
+                    fine.stats.evaluated as f64,
+                    fine.stats.pruned as f64,
+                    fine_speedup,
+                    fine.report.tbt_ms(),
+                ],
+            )],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
     if fine_speedup < 1.0 {
         return Err(format!(
             "0.5%-lattice search slower than the serial sweep: \
@@ -239,7 +244,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    out.section("joint {placement x batch} space (throughput objective)");
+    print!(
+        "{}",
+        section("joint {placement x batch} space (throughput objective)")
+    );
     let joint_batches = vec![1u32, 4, 8, 44];
     let joint = search_in(
         &system,
@@ -253,19 +261,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batches: joint_batches.clone(),
         },
     )?;
-    out.table(
-        &["search", "tok/s", "batch", "MHA gpu%", "FFN gpu%"],
-        &[(
-            "joint batch list".to_owned(),
-            vec![
-                joint.report.throughput_tps(),
-                f64::from(joint.batch),
-                joint.mha_gpu_percent,
-                joint.ffn_gpu_percent,
-            ],
-        )],
+    print!(
+        "{}",
+        table(
+            &["search", "tok/s", "batch", "MHA gpu%", "FFN gpu%"],
+            &[(
+                "joint batch list".to_owned(),
+                vec![
+                    joint.report.throughput_tps(),
+                    f64::from(joint.batch),
+                    joint.mha_gpu_percent,
+                    joint.ffn_gpu_percent,
+                ],
+            )],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
     if !joint_batches.contains(&joint.batch) {
         return Err(format!(
             "joint search chose batch {} outside its listed space {joint_batches:?}",
@@ -274,33 +284,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    out.section("quality: fine-search winner vs hand-built policies");
+    print!(
+        "{}",
+        section("quality: fine-search winner vs hand-built policies")
+    );
     let helm = Server::new(
         system.clone(),
         model.clone(),
         policy.clone().with_placement(PlacementKind::Helm),
     )?
     .run(&workload)?;
-    out.table(
-        &["policy", "TBT(ms)", "MHA gpu%", "FFN gpu%"],
-        &[
-            (
-                "HeLM (hand-built)".to_owned(),
-                vec![helm.tbt_ms(), 10.0, 30.0],
-            ),
-            (
-                "auto (1% lattice)".to_owned(),
-                vec![
-                    auto.report.tbt_ms(),
-                    auto.mha_gpu_percent,
-                    auto.ffn_gpu_percent,
-                ],
-            ),
-        ],
+    print!(
+        "{}",
+        table(
+            &["policy", "TBT(ms)", "MHA gpu%", "FFN gpu%"],
+            &[
+                (
+                    "HeLM (hand-built)".to_owned(),
+                    vec![helm.tbt_ms(), 10.0, 30.0],
+                ),
+                (
+                    "auto (1% lattice)".to_owned(),
+                    vec![
+                        auto.report.tbt_ms(),
+                        auto.mha_gpu_percent,
+                        auto.ffn_gpu_percent,
+                    ],
+                ),
+            ],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
 
-    out.section("throughput objective rediscovers All-CPU");
+    print!("{}", section("throughput objective rediscovers All-CPU"));
     let allcpu = Server::new(
         system.clone(),
         model.clone(),
@@ -318,24 +333,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Objective::Throughput,
         SearchBudget::default(),
     )?;
-    out.table(
-        &["policy", "tok/s", "batch", "FFN gpu%"],
-        &[
-            (
-                "All-CPU b=44".to_owned(),
-                vec![allcpu.throughput_tps(), 44.0, 0.0],
-            ),
-            (
-                "auto".to_owned(),
-                vec![
-                    auto_t.report.throughput_tps(),
-                    f64::from(auto_t.batch),
-                    auto_t.ffn_gpu_percent,
-                ],
-            ),
-        ],
+    print!(
+        "{}",
+        table(
+            &["policy", "tok/s", "batch", "FFN gpu%"],
+            &[
+                (
+                    "All-CPU b=44".to_owned(),
+                    vec![allcpu.throughput_tps(), 44.0, 0.0],
+                ),
+                (
+                    "auto".to_owned(),
+                    vec![
+                        auto_t.report.throughput_tps(),
+                        f64::from(auto_t.batch),
+                        auto_t.ffn_gpu_percent,
+                    ],
+                ),
+            ],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
 
     let json = format!(
         "{{\n  \"model\": \"{}\",\n  \"memory\": \"{}\",\n  \"objective\": \"latency\",\n  \

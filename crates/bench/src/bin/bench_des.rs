@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use bench::WriteReport;
+use bench::{section, table};
 use helm_core::exec::RecordMode;
 use helm_core::online::{
     run_cluster_mix, run_cluster_mix_traced, CalibrationCache, ClusterReport, ClusterSpec,
@@ -98,7 +98,6 @@ fn run_tier(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut out = String::new();
     let quick = std::env::args().any(|a| a == "--quick");
     // Audits are compiled out of release builds by default; the whole
     // point here is exact ledgers at 1e6 counts, so force them on and
@@ -140,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Wall-time floor misses, reported after every axis has run.
     let mut floor_misses: Vec<String> = Vec::new();
 
-    out.section("throughput: aggregate-mode mixed cluster");
+    print!("{}", section("throughput: aggregate-mode mixed cluster"));
     let volumes: &[usize] = if quick {
         &[10_000, 100_000]
     } else {
@@ -184,18 +183,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    out.table(
-        &[
-            "volume",
-            "wall(ms)",
-            "events",
-            "events/s",
-            "requests/s",
-            "served",
-        ],
-        &rows,
+    print!(
+        "{}",
+        table(
+            &[
+                "volume",
+                "wall(ms)",
+                "events",
+                "events/s",
+                "requests/s",
+                "served",
+            ],
+            &rows,
+        )
     );
-    print!("{}", std::mem::take(&mut out));
 
     let largest = tiers.last().ok_or("no tier ran")?;
     let events_per_s = largest.report.events as f64 / largest.wall_s;
@@ -207,7 +208,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    out.section("granularity axis: per-step vs coalesced, continuous batching");
+    print!(
+        "{}",
+        section("granularity axis: per-step vs coalesced, continuous batching")
+    );
     // Continuous batching is where macro-stepping bites: every decode
     // step is one work unit, so per-step granularity pays one
     // priority-queue round-trip per token while coalesced replays the
@@ -274,18 +278,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n as f64 / coal.wall_s,
         ));
     }
-    out.table(
-        &[
-            "volume",
-            "step(ms)",
-            "coal(ms)",
-            "speedup",
-            "events",
-            "requests/s",
-        ],
-        &gran_rows,
+    print!(
+        "{}",
+        table(
+            &[
+                "volume",
+                "step(ms)",
+                "coal(ms)",
+                "speedup",
+                "events",
+                "requests/s",
+            ],
+            &gran_rows,
+        )
     );
-    print!("{}", std::mem::take(&mut out));
     let (gran_n, step_s, coal_s) = gran_largest;
     if step_s / coal_s < GRANULARITY_SPEEDUP_FLOOR {
         floor_misses.push(format!(
@@ -298,7 +304,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    out.section("tracing axis: span collection on vs off at n = 1e4");
+    print!(
+        "{}",
+        section("tracing axis: span collection on vs off at n = 1e4")
+    );
     // Tracing is a side channel: the traced run must produce a
     // byte-identical report (attribution is computed unconditionally;
     // only the span trees ride the extra channel), and the untraced
@@ -339,30 +348,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chrome_stats = validate_chrome_trace(&chrome)
         .map_err(|e| format!("exported chrome trace invalid: {e}"))?;
     let trace_overhead = traced_wall_s / untraced.wall_s;
-    out.table(
-        &["axis", "wall(ms)", "spans", "events", "requests/s"],
-        &[
-            (
-                "untraced".to_string(),
-                vec![
-                    untraced.wall_s * 1000.0,
-                    0.0,
-                    untraced.report.events as f64,
-                    trace_n as f64 / untraced.wall_s,
-                ],
-            ),
-            (
-                "traced".to_string(),
-                vec![
-                    traced_wall_s * 1000.0,
-                    trace.span_count() as f64,
-                    traced_report.events as f64,
-                    trace_n as f64 / traced_wall_s,
-                ],
-            ),
-        ],
+    print!(
+        "{}",
+        table(
+            &["axis", "wall(ms)", "spans", "events", "requests/s"],
+            &[
+                (
+                    "untraced".to_string(),
+                    vec![
+                        untraced.wall_s * 1000.0,
+                        0.0,
+                        untraced.report.events as f64,
+                        trace_n as f64 / untraced.wall_s,
+                    ],
+                ),
+                (
+                    "traced".to_string(),
+                    vec![
+                        traced_wall_s * 1000.0,
+                        trace.span_count() as f64,
+                        traced_report.events as f64,
+                        trace_n as f64 / traced_wall_s,
+                    ],
+                ),
+            ],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
     let trace_json = format!(
         "{{\n  \"model\": \"{}\",\n  \"memory\": \"{}\",\n  \"num_requests\": {trace_n},\n  \
          \"untraced_wall_s\": {:.3},\n  \"traced_wall_s\": {:.3},\n  \

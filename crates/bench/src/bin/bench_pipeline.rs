@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use bench::WriteReport;
+use bench::{section, table};
 use helm_core::exec::{
     run_pipeline_reference, run_pipeline_with, LayerCostTable, PipelineInputs, RecordMode,
 };
@@ -110,7 +110,6 @@ where
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut out = String::new();
     let quick = std::env::args().any(|a| a == "--quick");
     let iters = if quick { 4 } else { 60 };
 
@@ -130,13 +129,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload: &workload,
     };
 
-    out.section(&format!(
-        "pipeline hot loop: {} x {} iterations ({} layers x {} tokens/run)",
-        model.name(),
-        iters,
-        model.num_layers(),
-        workload.gen_len
-    ));
+    print!(
+        "{}",
+        section(&format!(
+            "pipeline hot loop: {} x {} iterations ({} layers x {} tokens/run)",
+            model.name(),
+            iters,
+            model.num_layers(),
+            workload.gen_len
+        ))
+    );
 
     let (seed_sps, steps_per_run) = time_variant(&inp, iters, |inp| {
         Ok(run_pipeline_reference(inp)?.records.len())
@@ -156,17 +158,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let full_speedup = full_sps / seed_sps;
     let agg_speedup = agg_sps / seed_sps;
-    out.table(
-        &["variant", "steps/s", "speedup"],
-        &[
-            ("seed (full records)".to_owned(), vec![seed_sps, 1.0]),
-            ("table + Full".to_owned(), vec![full_sps, full_speedup]),
-            ("table + Aggregate".to_owned(), vec![agg_sps, agg_speedup]),
-        ],
+    print!(
+        "{}",
+        table(
+            &["variant", "steps/s", "speedup"],
+            &[
+                ("seed (full records)".to_owned(), vec![seed_sps, 1.0]),
+                ("table + Full".to_owned(), vec![full_sps, full_speedup]),
+                ("table + Aggregate".to_owned(), vec![agg_sps, agg_speedup]),
+            ],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
 
-    out.section("serial coarse placement sweep (seed evaluator vs table + Aggregate)");
+    print!(
+        "{}",
+        section("serial coarse placement sweep (seed evaluator vs table + Aggregate)")
+    );
     let (seed_ms, seed_evals, seed_best) =
         coarse_sweep(&system, &model, &policy, &workload, |inp| {
             Ok(run_pipeline_reference(inp)?.tbt_ms())
@@ -178,20 +185,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })?;
     let winner_unchanged = seed_evals == fast_evals && seed_best == fast_best;
     let sweep_speedup = seed_ms / fast_ms;
-    out.table(
-        &["sweep", "wall(ms)", "evals", "best TBT(ms)"],
-        &[
-            (
-                "seed evaluator".to_owned(),
-                vec![seed_ms, seed_evals as f64, f64::from_bits(seed_best)],
-            ),
-            (
-                "table + Aggregate".to_owned(),
-                vec![fast_ms, fast_evals as f64, f64::from_bits(fast_best)],
-            ),
-        ],
+    print!(
+        "{}",
+        table(
+            &["sweep", "wall(ms)", "evals", "best TBT(ms)"],
+            &[
+                (
+                    "seed evaluator".to_owned(),
+                    vec![seed_ms, seed_evals as f64, f64::from_bits(seed_best)],
+                ),
+                (
+                    "table + Aggregate".to_owned(),
+                    vec![fast_ms, fast_evals as f64, f64::from_bits(fast_best)],
+                ),
+            ],
+        )
     );
-    print!("{}", std::mem::take(&mut out));
     println!("\nsweep speedup {sweep_speedup:.2}x, winner bit-identical: {winner_unchanged}");
 
     let json = format!(

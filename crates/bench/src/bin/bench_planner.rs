@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use bench::WriteReport;
+use bench::section;
 use helm_core::exec::RecordMode;
 use helm_core::online::{
     run_cluster_mix, run_cluster_mix_cached, AdmissionPolicy, CalibrationCache, ClusterSpec,
@@ -203,7 +203,6 @@ fn fingerprint(report: &PlanReport) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut out = String::new();
     let quick = std::env::args().any(|a| a == "--quick");
     // Force conservation audits on in release so the confirmation
     // gate checks real ledgers, absorbing their cost in every
@@ -230,8 +229,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|t| server.reconfigured(t.placement, t.batch))
         .collect::<Result<Vec<_>, _>>()?;
 
-    out.section("naive exhaustive scans (no bound)");
-    print!("{}", std::mem::take(&mut out));
+    print!("{}", section("naive exhaustive scans (no bound)"));
     let cold = naive_scan(&servers, &workload, &traffic, &space, None)?;
     let mut memo = CalibrationCache::new();
     let cached = naive_scan(&servers, &workload, &traffic, &space, Some(&mut memo))?;
@@ -252,8 +250,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         memo.calibrations()
     );
 
-    out.section("planner (bound + calibrate-once + early exit)");
-    print!("{}", std::mem::take(&mut out));
+    print!(
+        "{}",
+        section("planner (bound + calibrate-once + early exit)")
+    );
     let budget = SearchBudget::default();
     let planned = plan(&server, &workload, &traffic, target, &space, budget)?;
     let rerun = plan(&server, &workload, &traffic, target, &space, budget)?;
@@ -272,8 +272,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         planned.chosen.admission
     );
 
-    out.section("gates");
-    print!("{}", std::mem::take(&mut out));
+    print!("{}", section("gates"));
     if !planned.feasible || !cold.feasible {
         return Err(format!(
             "scenario must be feasible for both searches (planner {}, exhaustive {})",

@@ -20,7 +20,7 @@
 //! Results land in `output/BENCH_admission.json`. `--quick` shrinks
 //! the sweep for CI smoke runs.
 
-use bench::{paper_server, WriteReport};
+use bench::{paper_server, section, table};
 use helm_core::online::{
     run_cluster_mix, AdmissionPolicy, ClusterReport, ClusterSpec, DeadlineSpec, PoissonArrivals,
     SchedulerKind,
@@ -62,7 +62,6 @@ fn run_cell(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut out = String::new();
     simaudit::force_enable();
     let quick = std::env::args().any(|a| a == "--quick");
     let n = if quick { 60 } else { 200 };
@@ -91,9 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let allcpu = server(PlacementKind::AllCpu, 44)?;
     let groups = [(&helm, 1usize), (&allcpu, 1usize)];
 
-    out.section(&format!(
-        "admission control on {{HeLM b=4, All-CPU b=44}} mix (OPT-175B, NVDRAM, n={n})"
-    ));
+    print!(
+        "{}",
+        section(&format!(
+            "admission control on {{HeLM b=4, All-CPU b=44}} mix (OPT-175B, NVDRAM, n={n})"
+        ))
+    );
 
     let mut rows = Vec::new();
     let mut cells = Vec::new();
@@ -129,18 +131,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cells.push((slo_s, lambda, open, gated));
         }
     }
-    out.table(
-        &[
-            "cell",
-            "open attain",
-            "open goodput",
-            "gated attain",
-            "gated goodput",
-            "rejected",
-        ],
-        &rows,
+    print!(
+        "{}",
+        table(
+            &[
+                "cell",
+                "open attain",
+                "open goodput",
+                "gated attain",
+                "gated goodput",
+                "rejected",
+            ],
+            &rows,
+        )
     );
-    print!("{}", std::mem::take(&mut out));
 
     // The demonstrated claim: at the saturating arrival rate,
     // deadline-feasible admission does not lose goodput — rejecting

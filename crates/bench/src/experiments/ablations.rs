@@ -1,7 +1,7 @@
 //! Ablations: what each of the paper's choices buys, against the
 //! alternatives it names or implies.
 
-use crate::{paper_server, run_serving, WriteReport};
+use crate::{paper_server, run_serving, section, table};
 use helm_core::exec::{run_pipeline, PipelineInputs};
 use helm_core::metrics::Stage;
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
@@ -42,7 +42,10 @@ pub(super) fn ablation_kv_offload(out: &mut String) -> Result<(), Box<dyn Error>
         HostMemoryConfig::memory_mode(),
         HostMemoryConfig::nvdram(),
     ] {
-        out.section(&format!("All-CPU + KV offload on {}", memory.kind()));
+        out.push_str(&section(&format!(
+            "All-CPU + KV offload on {}",
+            memory.kind()
+        )));
         let mut rows = Vec::new();
         // Resident KV at its maximum batch (44).
         let resident = all_cpu(memory.clone(), 44, false)?.run(&workload)?;
@@ -76,10 +79,12 @@ pub(super) fn ablation_kv_offload(out: &mut String) -> Result<(), Box<dyn Error>
                 ],
             ));
         }
-        out.table(&["config", "TBT(ms)", "tok/s", "D2H(GB)"], &rows);
+        out.push_str(&table(&["config", "TBT(ms)", "tok/s", "D2H(GB)"], &rows));
     }
 
-    out.section("write endurance under sustained KV write-back (NVDRAM)");
+    out.push_str(&section(
+        "write endurance under sustained KV write-back (NVDRAM)",
+    ));
     let report = all_cpu(HostMemoryConfig::nvdram(), 128, true)?.run(&workload)?;
     let write_rate = Bandwidth::from_bytes_per_s(
         report.total_d2h_bytes().as_f64() / report.total_time.as_secs(),
@@ -127,7 +132,9 @@ pub(super) fn ablation_numa(out: &mut String) -> Result<(), Box<dyn Error>> {
         Server::new(system, model, policy)?.run(&WorkloadSpec::paper_default())
     };
 
-    out.section("read-dominated serving (resident KV, batch 44): node choice for weights");
+    out.push_str(&section(
+        "read-dominated serving (resident KV, batch 44): node choice for weights",
+    ));
     let mut rows = Vec::new();
     for (label, node) in [
         ("GPU-local (node 0)", NodePolicy::GpuLocal),
@@ -137,9 +144,11 @@ pub(super) fn ablation_numa(out: &mut String) -> Result<(), Box<dyn Error>> {
         let r = run(node, node, false, 44)?;
         rows.push((label.to_owned(), vec![r.tbt_ms(), r.throughput_tps()]));
     }
-    out.table(&["node policy", "TBT(ms)", "tok/s"], &rows);
+    out.push_str(&table(&["node policy", "TBT(ms)", "tok/s"], &rows));
 
-    out.section("write-heavy serving (offloaded KV, batch 128): split placements");
+    out.push_str(&section(
+        "write-heavy serving (offloaded KV, batch 128): split placements",
+    ));
     let mut rows = Vec::new();
     for (label, weight_node, kv_node) in [
         ("all GPU-local", NodePolicy::GpuLocal, NodePolicy::GpuLocal),
@@ -158,7 +167,7 @@ pub(super) fn ablation_numa(out: &mut String) -> Result<(), Box<dyn Error>> {
         let r = run(weight_node, kv_node, true, 128)?;
         rows.push((label.to_owned(), vec![r.tbt_ms(), r.throughput_tps()]));
     }
-    out.table(&["placement", "TBT(ms)", "tok/s"], &rows);
+    out.push_str(&table(&["placement", "TBT(ms)", "tok/s"], &rows));
     writeln!(
         out,
         "\nReading: for pure weight streaming the GPU-local node wins (reads\n\
@@ -207,8 +216,8 @@ pub(super) fn ablation_pinning(out: &mut String) -> Result<(), Box<dyn Error>> {
     }
     let pinned = ModelPlacement::compute_pinned_prefix(&model, true, pinned_blocks);
 
-    out.section("equal-GPU-byte placements");
-    out.table(
+    out.push_str(&section("equal-GPU-byte placements"));
+    out.push_str(&table(
         &["placement", "GPU bytes (GB)", "host bytes (GB)"],
         &[
             (
@@ -229,9 +238,9 @@ pub(super) fn ablation_pinning(out: &mut String) -> Result<(), Box<dyn Error>> {
                 ],
             ),
         ],
-    );
+    ));
 
-    out.section("serving OPT-175B (compressed, NVDRAM, batch 1)");
+    out.push_str(&section("serving OPT-175B (compressed, NVDRAM, batch 1)"));
     let run = |placement: &ModelPlacement| {
         run_pipeline(&PipelineInputs {
             system: &system,
@@ -251,7 +260,7 @@ pub(super) fn ablation_pinning(out: &mut String) -> Result<(), Box<dyn Error>> {
     )?;
     let helm_run = run(&helm)?;
     let pinned_run = run(&pinned)?;
-    out.table(
+    out.push_str(&table(
         &["placement", "TTFT(ms)", "TBT(ms)"],
         &[
             (
@@ -267,7 +276,7 @@ pub(super) fn ablation_pinning(out: &mut String) -> Result<(), Box<dyn Error>> {
                 vec![helm_run.ttft_ms(), helm_run.tbt_ms()],
             ),
         ],
-    );
+    ));
     let gap = pinned_run.tbt_ms() / helm_run.tbt_ms();
     writeln!(
         out,
@@ -300,7 +309,9 @@ pub(super) fn ablation_sweeps(out: &mut String) -> Result<(), Box<dyn Error>> {
         .run_unchecked(workload)
     };
 
-    out.section("1. host-bandwidth continuum (OPT-175B, compressed, batch 1)");
+    out.push_str(&section(
+        "1. host-bandwidth continuum (OPT-175B, compressed, batch 1)",
+    ));
     let mut rows = Vec::new();
     for gbps in [2.0, 5.12, 10.0, 16.0, 28.0, 40.0, 64.0] {
         let memory = HostMemoryConfig::cxl_custom(Bandwidth::from_gb_per_s(gbps));
@@ -316,12 +327,12 @@ pub(super) fn ablation_sweeps(out: &mut String) -> Result<(), Box<dyn Error>> {
             ],
         ));
     }
-    out.table(
+    out.push_str(&table(
         &["expander bw", "base TBT", "HeLM TBT", "gain %", "MHAc/FFNl"],
         &rows,
-    );
+    ));
 
-    out.section("2. sequence-length sweep (NVDRAM, HeLM, batch 1)");
+    out.push_str(&section("2. sequence-length sweep (NVDRAM, HeLM, batch 1)"));
     let mut rows = Vec::new();
     for prompt in [64usize, 128, 256, 512, 1024] {
         let ws = WorkloadSpec::new(prompt, 21, 1);
@@ -331,9 +342,11 @@ pub(super) fn ablation_sweeps(out: &mut String) -> Result<(), Box<dyn Error>> {
             vec![r.ttft_ms(), r.tbt_ms(), r.throughput_tps()],
         ));
     }
-    out.table(&["workload", "TTFT(ms)", "TBT(ms)", "tok/s"], &rows);
+    out.push_str(&table(&["workload", "TTFT(ms)", "TBT(ms)", "tok/s"], &rows));
 
-    out.section("3. micro-batching sweep (NVDRAM, All-CPU, gpu-batch 4)");
+    out.push_str(&section(
+        "3. micro-batching sweep (NVDRAM, All-CPU, gpu-batch 4)",
+    ));
     let mut rows = Vec::new();
     for k in [1u32, 2, 4, 8, 11] {
         let r = serve(HostMemoryConfig::nvdram(), PlacementKind::AllCpu, 4, k, &ws)?;
@@ -342,7 +355,7 @@ pub(super) fn ablation_sweeps(out: &mut String) -> Result<(), Box<dyn Error>> {
             vec![r.tbt_ms(), r.throughput_tps()],
         ));
     }
-    out.table(&["effective batch", "TBT(ms)", "tok/s"], &rows);
+    out.push_str(&table(&["effective batch", "TBT(ms)", "tok/s"], &rows));
     writeln!(
         out,
         "\nReading: (1) HeLM's gain shrinks once the expander alone outruns\n\
@@ -384,7 +397,9 @@ pub(super) fn ablation_tiering(out: &mut String) -> Result<(), Box<dyn Error>> {
         ]
     };
 
-    out.section("effective host->GPU feed at the OPT-175B working set (~320 GB)");
+    out.push_str(&section(
+        "effective host->GPU feed at the OPT-175B working set (~320 GB)",
+    ));
     let probe = AccessProfile::sequential_read(ByteSize::from_gb(2.4))
         .with_working_set(ByteSize::from_gb(320.0));
     let rows: Vec<_> = substrates()
@@ -396,25 +411,29 @@ pub(super) fn ablation_tiering(out: &mut String) -> Result<(), Box<dyn Error>> {
             )
         })
         .collect();
-    out.table(&["memory", "device GB/s"], &rows);
+    out.push_str(&table(&["memory", "device GB/s"], &rows));
 
-    out.section("substrate comparison: OPT-175B uncompressed, baseline placement, batch 1");
+    out.push_str(&section(
+        "substrate comparison: OPT-175B uncompressed, baseline placement, batch 1",
+    ));
     let mut rows = Vec::new();
     for cfg in substrates() {
         let label = cfg.kind().to_string();
         let report = run(cfg, PlacementKind::Baseline, false)?;
         rows.push((label, vec![report.ttft_ms(), report.tbt_ms()]));
     }
-    out.table(&["substrate", "TTFT(ms)", "TBT(ms)"], &rows);
+    out.push_str(&table(&["substrate", "TTFT(ms)", "TBT(ms)"], &rows));
 
-    out.section("full-system contrast: transparent management vs the paper's recipe");
+    out.push_str(&section(
+        "full-system contrast: transparent management vs the paper's recipe",
+    ));
     let tpp = run(
         HostMemoryConfig::tpp_tiered(),
         PlacementKind::Baseline,
         false,
     )?;
     let recipe = run(HostMemoryConfig::nvdram(), PlacementKind::Helm, true)?;
-    out.table(
+    out.push_str(&table(
         &["system", "TTFT(ms)", "TBT(ms)"],
         &[
             (
@@ -426,7 +445,7 @@ pub(super) fn ablation_tiering(out: &mut String) -> Result<(), Box<dyn Error>> {
                 vec![recipe.ttft_ms(), recipe.tbt_ms()],
             ),
         ],
-    );
+    ));
     writeln!(
         out,
         "\nReading: transparent page tiering UNDERPERFORMS even flat Optane on\n\

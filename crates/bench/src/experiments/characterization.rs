@@ -1,6 +1,6 @@
 //! The platform and its devices: Tables I–III and Fig 3.
 
-use crate::{Comparison, WriteReport};
+use crate::{comparisons, section, Comparison};
 use gpusim::GpuSpec;
 use helm_core::placement::{ModelPlacement, Tier};
 use helm_core::policy::Policy;
@@ -24,7 +24,7 @@ pub(super) fn table1_system(out: &mut String) -> Result<(), Box<dyn Error>> {
     let gpu = GpuSpec::a100_40gb();
     let pcie = PcieLink::gen4_x16();
 
-    out.section("Table I: system configuration");
+    out.push_str(&section("Table I: system configuration"));
     writeln!(
         out,
         "CPU      : dual-socket Intel Xeon Gold 6330 (Ice Lake), modeled"
@@ -58,7 +58,7 @@ pub(super) fn table1_system(out: &mut String) -> Result<(), Box<dyn Error>> {
         pcie.theoretical(),
     )?;
 
-    out.section("Intel MLC-style characterization (SS IV-A)");
+    out.push_str(&section("Intel MLC-style characterization (SS IV-A)"));
     out.push_str(&mlc::run(&topo, ByteSize::from_gb(1.0)).to_table());
     writeln!(
         out,
@@ -71,7 +71,9 @@ pub(super) fn table1_system(out: &mut String) -> Result<(), Box<dyn Error>> {
 /// Table II: the model/memory configurations under evaluation, with
 /// the capacity reasoning that motivates each pairing.
 pub(super) fn table2_configs(out: &mut String) -> Result<(), Box<dyn Error>> {
-    out.section("Table II: model/memory configurations (uncompressed, paper-default policies)");
+    out.push_str(&section(
+        "Table II: model/memory configurations (uncompressed, paper-default policies)",
+    ));
     for (model, configs) in [
         (ModelConfig::opt_30b(), HostMemoryConfig::opt30b_set()),
         (ModelConfig::opt_175b(), HostMemoryConfig::opt175b_set()),
@@ -126,7 +128,7 @@ pub(super) fn table2_configs(out: &mut String) -> Result<(), Box<dyn Error>> {
 /// Table III: the CXL configurations borrowed from prior work, as
 /// realized by the device models.
 pub(super) fn table3_cxl(out: &mut String) -> Result<(), Box<dyn Error>> {
-    out.section("Table III: CXL configurations");
+    out.push_str(&section("Table III: CXL configurations"));
     let probe = AccessProfile::sequential_read(ByteSize::from_gb(1.0));
     let fpga = CxlDevice::fpga_ddr4();
     let asic = CxlDevice::asic_ddr5();
@@ -144,7 +146,7 @@ pub(super) fn table3_cxl(out: &mut String) -> Result<(), Box<dyn Error>> {
             dev.bandwidth(&probe).to_string(),
         )?;
     }
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "CXL-FPGA bandwidth (Sun et al., CXL-C)",
             5.12,
@@ -157,7 +159,7 @@ pub(super) fn table3_cxl(out: &mut String) -> Result<(), Box<dyn Error>> {
             asic.bandwidth(&probe).as_gb_per_s(),
             "GB/s",
         ),
-    ]);
+    ]));
     writeln!(
         out,
         "\nAdded round-trip latency of the CXL hop: >= {} ns (SS II-D)",
@@ -186,13 +188,13 @@ pub(super) fn fig3_bandwidth(out: &mut String) -> Result<(), Box<dyn Error>> {
             })
     };
 
-    out.section("Fig 3a: host -> GPU bandwidth (GB/s)");
+    out.push_str(&section("Fig 3a: host -> GPU bandwidth (GB/s)"));
     out.push_str(&to_table(&points, Direction::HostToGpu));
 
-    out.section("Fig 3b: GPU -> host bandwidth (GB/s)");
+    out.push_str(&section("Fig 3b: GPU -> host bandwidth (GB/s)"));
     out.push_str(&to_table(&points, Direction::GpuToHost));
 
-    out.section("Fig 3: paper calibration points");
+    out.push_str(&section("Fig 3: paper calibration points"));
     let h2d = Direction::HostToGpu;
     let d2h = Direction::GpuToHost;
     let nv4 = find(SweepMemory::NvDram, 0, h2d, 4.096)?;
@@ -202,7 +204,7 @@ pub(super) fn fig3_bandwidth(out: &mut String) -> Result<(), Box<dyn Error>> {
     let nv_w = find(SweepMemory::NvDram, 1, d2h, 1.024)?;
     let dram_w = find(SweepMemory::Dram, 1, d2h, 1.024)?;
     let mm4 = find(SweepMemory::MemoryMode, 0, h2d, 4.096)?;
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new("NVDRAM H2D at 4 GB", 19.91, nv4, "GB/s"),
         Comparison::new("NVDRAM H2D at 32 GB", 15.52, nv32, "GB/s"),
         Comparison::new(
@@ -230,6 +232,6 @@ pub(super) fn fig3_bandwidth(out: &mut String) -> Result<(), Box<dyn Error>> {
             (mm4 / dram4 - 1.0) * 100.0,
             "%",
         ),
-    ]);
+    ]));
     Ok(())
 }

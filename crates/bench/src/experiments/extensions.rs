@@ -1,7 +1,7 @@
 //! Extensions beyond the paper: energy, other models, online serving
 //! and other platforms.
 
-use crate::{paper_server, WriteReport};
+use crate::{paper_server, section, table};
 use gpusim::GpuSpec;
 use helm_core::energy::{assess, DRAM_STATIC_W_PER_GB, OPTANE_STATIC_W_PER_GB};
 use helm_core::exec::{run_pipeline, PipelineInputs};
@@ -39,7 +39,9 @@ pub(super) fn energy_efficiency(out: &mut String) -> Result<(), Box<dyn Error>> 
         HostMemoryConfig::custom_dram(ByteSize::from_tib(1.0), DDR4_2933_SOCKET_READ, PER_STREAM)
     };
 
-    out.section("energy per token, OPT-175B (compressed), batch 1 and 44");
+    out.push_str(&section(
+        "energy per token, OPT-175B (compressed), batch 1 and 44",
+    ));
     let mut rows = Vec::new();
     for (label, memory, placement, batch) in [
         (
@@ -96,13 +98,13 @@ pub(super) fn energy_efficiency(out: &mut String) -> Result<(), Box<dyn Error>> 
             ],
         ));
     }
-    out.table(
+    out.push_str(&table(
         &["config", "J/token", "host-static", "host-dyn", "tok/s"],
         &rows,
-    );
+    ));
 
-    out.section("background power of the host memory itself");
-    out.table(
+    out.push_str(&section("background power of the host memory itself"));
+    out.push_str(&table(
         &["technology", "W/GB", "W for 1 TB"],
         &[
             (
@@ -120,7 +122,7 @@ pub(super) fn energy_efficiency(out: &mut String) -> Result<(), Box<dyn Error>> 
                 ],
             ),
         ],
-    );
+    ));
     writeln!(
         out,
         "\nReading: at matched capacity, Optane's background power is less than\n\
@@ -149,7 +151,7 @@ pub(super) fn generalization_models(out: &mut String) -> Result<(), Box<dyn Erro
         })
     };
 
-    out.section("All-CPU batch ceilings: GQA lifts the KV wall");
+    out.push_str(&section("All-CPU batch ceilings: GQA lifts the KV wall"));
     let mut rows = Vec::new();
     for model in [
         ModelConfig::opt_66b(),
@@ -164,9 +166,14 @@ pub(super) fn generalization_models(out: &mut String) -> Result<(), Box<dyn Erro
             vec![model.weight_bytes_f16().as_gb(), kv.as_mb(), f64::from(max)],
         ));
     }
-    out.table(&["model", "weights(GB)", "KV/seq(MB)", "max batch"], &rows);
+    out.push_str(&table(
+        &["model", "weights(GB)", "KV/seq(MB)", "max batch"],
+        &rows,
+    ));
 
-    out.section("HeLM still balances the pipeline on gated-FFN models");
+    out.push_str(&section(
+        "HeLM still balances the pipeline on gated-FFN models",
+    ));
     let mut rows = Vec::new();
     for model in [ModelConfig::opt_66b(), ModelConfig::llama_2_70b()] {
         let base = nvdram(&model, PlacementKind::Baseline, 1)?.run(&workload)?;
@@ -177,7 +184,7 @@ pub(super) fn generalization_models(out: &mut String) -> Result<(), Box<dyn Erro
             vec![base, helm, (1.0 - helm / base) * 100.0],
         ));
     }
-    out.table(&["model", "base TBT", "HeLM TBT", "gain %"], &rows);
+    out.push_str(&table(&["model", "base TBT", "HeLM TBT", "gain %"], &rows));
     writeln!(
         out,
         "\nReading: OPT-66B (MHA) tops out at far smaller batches than\n\
@@ -218,9 +225,9 @@ pub(super) fn online_serving(out: &mut String) -> Result<(), Box<dyn Error>> {
     let n = 120;
 
     for (label, s) in online_servers()? {
-        out.section(&format!(
+        out.push_str(&section(&format!(
             "{label} under Poisson load (OPT-175B, NVDRAM, compressed)"
-        ));
+        )));
         let mut rows = Vec::new();
         for lambda in [0.01f64, 0.03, 0.06, 0.10, 0.15, 0.25] {
             let mut arrivals = PoissonArrivals::new(lambda, 42);
@@ -236,7 +243,7 @@ pub(super) fn online_serving(out: &mut String) -> Result<(), Box<dyn Error>> {
                 ],
             ));
         }
-        out.table(
+        out.push_str(&table(
             &[
                 "arrival rate",
                 "queue(s)",
@@ -246,7 +253,7 @@ pub(super) fn online_serving(out: &mut String) -> Result<(), Box<dyn Error>> {
                 "util",
             ],
             &rows,
-        );
+        ));
     }
     writeln!(
         out,
@@ -277,9 +284,9 @@ pub(super) fn online_scaling(out: &mut String) -> Result<(), Box<dyn Error>> {
     let servers = online_servers()?;
 
     for (label, s) in &servers {
-        out.section(&format!(
+        out.push_str(&section(&format!(
             "{label}: pipeline scaling under Poisson load (OPT-175B, NVDRAM, compressed)"
-        ));
+        )));
         let mut rows = Vec::new();
         for lambda in [0.03f64, 0.10, 0.25] {
             let mut values = Vec::new();
@@ -293,7 +300,7 @@ pub(super) fn online_scaling(out: &mut String) -> Result<(), Box<dyn Error>> {
             }
             rows.push((format!("{lambda:.2} req/s"), values));
         }
-        out.table(
+        out.push_str(&table(
             &[
                 "arrival rate",
                 "N=1 p95(s)",
@@ -304,10 +311,12 @@ pub(super) fn online_scaling(out: &mut String) -> Result<(), Box<dyn Error>> {
                 "N=4 tok/s",
             ],
             &rows,
-        );
+        ));
     }
 
-    out.section("All-CPU b=44: run-to-completion vs continuous batching (N=1)");
+    out.push_str(&section(
+        "All-CPU b=44: run-to-completion vs continuous batching (N=1)",
+    ));
     let [.., (_, s)] = &servers;
     let mut rows = Vec::new();
     for lambda in [0.03f64, 0.10, 0.25] {
@@ -321,7 +330,7 @@ pub(super) fn online_scaling(out: &mut String) -> Result<(), Box<dyn Error>> {
         }
         rows.push((format!("{lambda:.2} req/s"), values));
     }
-    out.table(
+    out.push_str(&table(
         &[
             "arrival rate",
             "rtc queue(s)",
@@ -330,7 +339,7 @@ pub(super) fn online_scaling(out: &mut String) -> Result<(), Box<dyn Error>> {
             "cont p95(s)",
         ],
         &rows,
-    );
+    ));
 
     writeln!(
         out,
@@ -368,7 +377,7 @@ pub(super) fn platform_sensitivity(out: &mut String) -> Result<(), Box<dyn Error
         )
     };
 
-    out.section("GPU memory axis (NVDRAM, compressed, PCIe Gen 4)");
+    out.push_str(&section("GPU memory axis (NVDRAM, compressed, PCIe Gen 4)"));
     let mut rows = Vec::new();
     for gpu in [
         GpuSpec::a100_40gb(),
@@ -387,9 +396,11 @@ pub(super) fn platform_sensitivity(out: &mut String) -> Result<(), Box<dyn Error
             vec![f64::from(max), best.throughput_tps()],
         ));
     }
-    out.table(&["GPU", "All-CPU max batch", "tok/s at max"], &rows);
+    out.push_str(&table(&["GPU", "All-CPU max batch", "tok/s at max"], &rows));
 
-    out.section("PCIe generation axis (NVDRAM, compressed, batch 1)");
+    out.push_str(&section(
+        "PCIe generation axis (NVDRAM, compressed, batch 1)",
+    ));
     let mut rows = Vec::new();
     for gen in [PcieGen::Gen3, PcieGen::Gen4, PcieGen::Gen5] {
         let sys = system(GpuSpec::a100_40gb(), gen);
@@ -417,10 +428,10 @@ pub(super) fn platform_sensitivity(out: &mut String) -> Result<(), Box<dyn Error
             vec![base, helm, (1.0 - helm / base) * 100.0],
         ));
     }
-    out.table(
+    out.push_str(&table(
         &["link", "base TBT(ms)", "HeLM TBT(ms)", "HeLM gain %"],
         &rows,
-    );
+    ));
     writeln!(
         out,
         "\nReading: doubling HBM roughly doubles the All-CPU batch ceiling\n\

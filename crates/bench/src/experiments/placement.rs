@@ -1,7 +1,7 @@
 //! The paper's placements, HeLM and All-CPU, and their CXL
 //! projections (Figs 9–13, Table IV).
 
-use crate::{paper_server, run_serving, Comparison, WriteReport};
+use crate::{comparisons, paper_server, run_serving, section, table, Comparison};
 use helm_core::metrics::{RunReport, Stage};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
 use helm_core::policy::Policy;
@@ -23,7 +23,9 @@ pub(super) fn fig10_helm_dist(out: &mut String) -> Result<(), Box<dyn Error>> {
         .with_compression(true);
     let placement = ModelPlacement::compute(&model, &policy);
 
-    out.section("Fig 9: HeLM per-tensor placement (one decoder block, compressed sizes)");
+    out.push_str(&section(
+        "Fig 9: HeLM per-tensor placement (one decoder block, compressed sizes)",
+    ));
     writeln!(
         out,
         "{:<8} {:<10} {:<6} {:>14}",
@@ -42,16 +44,16 @@ pub(super) fn fig10_helm_dist(out: &mut String) -> Result<(), Box<dyn Error>> {
         }
     }
 
-    out.section("Fig 10: HeLM achieved distribution");
+    out.push_str(&section("Fig 10: HeLM achieved distribution"));
     let mha = placement.distribution_for_kind(LayerKind::Mha);
     let ffn = placement.distribution_for_kind(LayerKind::Ffn);
-    out.table(
+    out.push_str(&table(
         &["layer kind", "disk %", "cpu %", "gpu %"],
         &[
             ("MHA".to_owned(), mha.to_vec()),
             ("FFN".to_owned(), ffn.to_vec()),
         ],
-    );
+    ));
 
     let achieved = placement.achieved_distribution();
     let baseline = ModelPlacement::compute(
@@ -66,7 +68,7 @@ pub(super) fn fig10_helm_dist(out: &mut String) -> Result<(), Box<dyn Error>> {
             .map(|l| l.offloaded_bytes(dtype).as_f64())
             .sum::<f64>()
     };
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "total weights held on GPU (paper: ~33%)",
             33.0,
@@ -87,7 +89,7 @@ pub(super) fn fig10_helm_dist(out: &mut String) -> Result<(), Box<dyn Error>> {
                 * 100.0,
             "%",
         ),
-    ]);
+    ]));
     writeln!(
         out,
         "\nGPU-resident total: {} (of {} compressed weights)",
@@ -125,17 +127,17 @@ pub(super) fn fig11_helm(out: &mut String) -> Result<(), Box<dyn Error>> {
     let dram_helm = run(HostMemoryConfig::dram(), PlacementKind::Helm)?;
     let dram_base = run(HostMemoryConfig::dram(), PlacementKind::Baseline)?;
 
-    out.section("Fig 11a: decode overlap, NVDRAM (c), batch 1");
+    out.push_str(&section("Fig 11a: decode overlap, NVDRAM (c), batch 1"));
     let stage = Stage::Decode;
-    out.table(
+    out.push_str(&table(
         &["policy", "MHA-l(ms)", "FFN-l(ms)", "MHA-c(ms)", "FFN-c(ms)"],
         &[
             kind_overlap_row("Baseline".to_owned(), &nv_base, stage),
             kind_overlap_row("HeLM".to_owned(), &nv_helm, stage),
         ],
-    );
+    ));
 
-    out.section("Fig 11b: TTFT and TBT");
+    out.push_str(&section("Fig 11b: TTFT and TBT"));
     let rows: Vec<(String, Vec<f64>)> = [
         ("NVDRAM baseline", &nv_base),
         ("NVDRAM HeLM", &nv_helm),
@@ -147,11 +149,11 @@ pub(super) fn fig11_helm(out: &mut String) -> Result<(), Box<dyn Error>> {
     .iter()
     .map(|(label, r)| (label.to_string(), vec![r.ttft_ms(), r.tbt_ms()]))
     .collect();
-    out.table(&["config", "TTFT(ms)", "TBT(ms)"], &rows);
+    out.push_str(&table(&["config", "TTFT(ms)", "TBT(ms)"], &rows));
 
-    out.section("Fig 11: paper claims");
+    out.push_str(&section("Fig 11: paper claims"));
     let xfer = |r: &RunReport, k| r.avg_weight_transfer(stage, k).as_millis();
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "FFN transfer time reduction",
             49.33,
@@ -200,7 +202,7 @@ pub(super) fn fig11_helm(out: &mut String) -> Result<(), Box<dyn Error>> {
             (mm_helm.tbt_ms() / dram_helm.tbt_ms() - 1.0) * 100.0,
             "%",
         ),
-    ]);
+    ]));
     Ok(())
 }
 
@@ -209,7 +211,9 @@ pub(super) fn fig11_helm(out: &mut String) -> Result<(), Box<dyn Error>> {
 /// All-CPU), plus the compute/communication overlap comparisons.
 pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
     let ws = WorkloadSpec::paper_default();
-    out.section("Maximum batch sizes (paper: 8 baseline -> 44 All-CPU)");
+    out.push_str(&section(
+        "Maximum batch sizes (paper: 8 baseline -> 44 All-CPU)",
+    ));
     // The paper-default policy is the uncompressed baseline.
     let base_max =
         paper_server(ModelConfig::opt_175b(), HostMemoryConfig::nvdram(), |p| p)?.max_batch(&ws);
@@ -218,7 +222,7 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
             .with_compression(true)
     })?
     .max_batch(&ws);
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "baseline (uncompressed) max batch",
             8.0,
@@ -231,9 +235,9 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
             f64::from(all_max),
             "seq",
         ),
-    ]);
+    ]));
 
-    out.section("Fig 12a-c: TTFT / TBT / throughput");
+    out.push_str(&section("Fig 12a-c: TTFT / TBT / throughput"));
     let mut reports = Vec::new();
     for (memory, label) in [
         (HostMemoryConfig::nvdram(), "NVDIMM"),
@@ -272,7 +276,7 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
             )
         })
         .collect();
-    out.table(&["config", "TTFT(ms)", "TBT(ms)", "tok/s"], &rows);
+    out.push_str(&table(&["config", "TTFT(ms)", "TBT(ms)", "tok/s"], &rows));
 
     let find = |label: &str| {
         reports
@@ -287,14 +291,16 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
     let mm_all44 = find("MemoryMode All-CPU b=44")?;
     let dram_all44 = find("DRAM All-CPU b=44")?;
 
-    out.section("Fig 12d/12e: overlap, baseline b=8 vs All-CPU b=44 (NVDIMM)");
+    out.push_str(&section(
+        "Fig 12d/12e: overlap, baseline b=8 vs All-CPU b=44 (NVDIMM)",
+    ));
     let mut rows = Vec::new();
     for stage in [Stage::Prefill, Stage::Decode] {
         for (label, r) in [("baseline b=8", nv_base8), ("All-CPU b=44", nv_all44)] {
             rows.push(kind_overlap_row(format!("{label} {stage}"), r, stage));
         }
     }
-    out.table(
+    out.push_str(&table(
         &[
             "config/stage",
             "MHA-l(ms)",
@@ -303,10 +309,10 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
             "FFN-c(ms)",
         ],
         &rows,
-    );
+    ));
 
-    out.section("Fig 12: paper claims");
-    out.comparisons(&[
+    out.push_str(&section("Fig 12: paper claims"));
+    out.push_str(&comparisons(&[
         Comparison::new(
             "All-CPU b=8 vs baseline b=8 throughput (NVDIMM)",
             5.0,
@@ -350,7 +356,7 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
                 * 100.0,
             "%",
         ),
-    ]);
+    ]));
     Ok(())
 }
 
@@ -359,26 +365,28 @@ pub(super) fn fig12_allcpu(out: &mut String) -> Result<(), Box<dyn Error>> {
 pub(super) fn fig13_cxl(out: &mut String) -> Result<(), Box<dyn Error>> {
     let ws = WorkloadSpec::paper_default();
 
-    out.section("Fig 13a: HeLM TTFT/TBT improvement over baseline (batch 1)");
+    out.push_str(&section(
+        "Fig 13a: HeLM TTFT/TBT improvement over baseline (batch 1)",
+    ));
     let gains = fig13_helm_gains(&ws)?;
     let rows: Vec<(String, Vec<f64>)> = gains
         .iter()
         .map(|(label, ttft, tbt)| (label.clone(), vec![ttft * 100.0, tbt * 100.0]))
         .collect();
-    out.table(&["config", "TTFT gain %", "TBT gain %"], &rows);
+    out.push_str(&table(&["config", "TTFT gain %", "TBT gain %"], &rows));
 
-    out.section("Fig 13b: All-CPU throughput (tokens/s)");
+    out.push_str(&section("Fig 13b: All-CPU throughput (tokens/s)"));
     let tps = fig13_allcpu_throughput(&ws)?;
     let rows: Vec<(String, Vec<f64>)> = tps
         .iter()
         .map(|(label, b8, a8, a44)| (label.clone(), vec![*b8, *a8, *a44]))
         .collect();
-    out.table(
+    out.push_str(&table(
         &["config", "baseline b=8", "All-CPU b=8", "All-CPU b=44"],
         &rows,
-    );
+    ));
 
-    out.section("Fig 13 / SS V-D: paper claims");
+    out.push_str(&section("Fig 13 / SS V-D: paper claims"));
     let find_gain = |name: &str| {
         gains
             .iter()
@@ -394,7 +402,7 @@ pub(super) fn fig13_cxl(out: &mut String) -> Result<(), Box<dyn Error>> {
     let (_, asic_ttft, _) = find_gain("CXL-ASIC")?;
     let (_, fpga_b8, fpga_all8, fpga_44) = find_tps("CXL-FPGA")?;
     let (_, asic_b8, _, asic_44) = find_tps("CXL-ASIC")?;
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new("HeLM TTFT gain, CXL-FPGA", 27.0, fpga_ttft * 100.0, "%"),
         Comparison::new("HeLM TTFT gain, CXL-ASIC", 21.0, asic_ttft * 100.0, "%"),
         Comparison::new(
@@ -415,7 +423,7 @@ pub(super) fn fig13_cxl(out: &mut String) -> Result<(), Box<dyn Error>> {
             asic_44 / asic_b8,
             "x",
         ),
-    ]);
+    ]));
     Ok(())
 }
 
@@ -428,7 +436,7 @@ pub(super) fn table4_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
     use Stage::{Decode, Prefill};
     // The paper's Table IV, row-major:
     // (policy, batch, stage, [nv_mha_ffn, fpga, asic, nv_ffn_mha, fpga, asic]).
-    let table: [(PlacementKind, u32, Stage, [f64; 6]); 10] = [
+    let paper_rows: [(PlacementKind, u32, Stage, [f64; 6]); 10] = [
         (Baseline, 1, Prefill, [0.36, 0.10, 0.56, 1.86, 0.53, 2.90]),
         (Baseline, 1, Decode, [0.36, 0.10, 0.55, 1.85, 0.53, 2.88]),
         (Baseline, 8, Prefill, [0.52, 0.14, 0.79, 3.07, 0.87, 4.77]),
@@ -442,14 +450,16 @@ pub(super) fn table4_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
     ];
     let rows = table_iv(&WorkloadSpec::paper_default())?;
 
-    out.section("Table IV: MHA-compute/FFN-load and FFN-compute/MHA-load ratios");
+    out.push_str(&section(
+        "Table IV: MHA-compute/FFN-load and FFN-compute/MHA-load ratios",
+    ));
     writeln!(
         out,
         "{:<10} {:>5} {:<8} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
         "policy", "batch", "stage", "NV m/f", "FPGA", "ASIC", "NV f/m", "FPGA", "ASIC"
     )?;
-    let mut comparisons = Vec::new();
-    for (policy, batch, stage, paper) in table {
+    let mut cells = Vec::new();
+    for (policy, batch, stage, paper) in paper_rows {
         let mut ours = [0.0f64; 6];
         for (i, config) in ["NVDRAM", "CXL-FPGA", "CXL-ASIC"].iter().enumerate() {
             let c = rows
@@ -487,7 +497,7 @@ pub(super) fn table4_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
         .iter()
         .enumerate()
         {
-            comparisons.push(Comparison::new(
+            cells.push(Comparison::new(
                 format!("{policy} b={batch} {stage} {label}"),
                 paper[i],
                 ours[i],
@@ -496,14 +506,14 @@ pub(super) fn table4_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
         }
     }
 
-    out.section("Table IV: paper-vs-measured, every cell");
-    out.comparisons(&comparisons);
-    let within = comparisons.iter().filter(|c| c.within(0.35)).count();
+    out.push_str(&section("Table IV: paper-vs-measured, every cell"));
+    out.push_str(&comparisons(&cells));
+    let within = cells.iter().filter(|c| c.within(0.35)).count();
     writeln!(
         out,
         "\n{}/{} cells within 35% of the paper's ratio",
         within,
-        comparisons.len()
+        cells.len()
     )?;
     Ok(())
 }

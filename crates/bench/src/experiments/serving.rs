@@ -1,7 +1,7 @@
 //! The baseline serving study: FlexGen's placement on heterogeneous
 //! host memory, uncompressed and compressed (Figs 4–8).
 
-use crate::{run_serving, Comparison, WriteReport};
+use crate::{comparisons, run_serving, section, table, Comparison};
 use helm_core::metrics::{RunReport, Stage};
 use helm_core::placement::{ModelPlacement, PlacementKind, Tier};
 use helm_core::policy::Policy;
@@ -65,7 +65,7 @@ fn write_hidden_overlap(out: &mut String, runs: &[(String, &RunReport)]) {
             ));
         }
     }
-    out.table(&["config/stage", "xfer(ms)", "compute(ms)"], &rows);
+    out.push_str(&table(&["config/stage", "xfer(ms)", "compute(ms)"], &rows));
 }
 
 /// Figure 4: TTFT, TBT, and throughput for OPT-30B (batch 1 and 32)
@@ -86,7 +86,7 @@ pub(super) fn fig4_llm_perf(out: &mut String) -> Result<(), Box<dyn Error>> {
         ("Fig 4a/4c/4e: OPT-30B", &r30),
         ("Fig 4b/4d/4f: OPT-175B", &r175),
     ] {
-        out.section(title);
+        out.push_str(&section(title));
         let rows: Vec<(String, Vec<f64>)> = reports
             .iter()
             .map(|r| {
@@ -96,17 +96,17 @@ pub(super) fn fig4_llm_perf(out: &mut String) -> Result<(), Box<dyn Error>> {
                 )
             })
             .collect();
-        out.table(&["config", "TTFT(ms)", "TBT(ms)", "tok/s"], &rows);
+        out.push_str(&table(&["config", "TTFT(ms)", "TBT(ms)", "tok/s"], &rows));
     }
 
-    out.section("Fig 4: paper claims (OPT-30B, NVDRAM vs DRAM)");
+    out.push_str(&section("Fig 4: paper claims (OPT-30B, NVDRAM vs DRAM)"));
     let pct = |a: f64, b: f64| (a / b - 1.0) * 100.0;
     let d1 = report_of(&r30, "DRAM", 1)?;
     let n1 = report_of(&r30, "NVDRAM", 1)?;
     let d32 = report_of(&r30, "DRAM", 32)?;
     let n32 = report_of(&r30, "NVDRAM", 32)?;
     let mm32 = report_of(&r30, "MemoryMode", 32)?;
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "TTFT increase b=1",
             33.03,
@@ -149,9 +149,9 @@ pub(super) fn fig4_llm_perf(out: &mut String) -> Result<(), Box<dyn Error>> {
             pct(mm32.tbt_ms(), d32.tbt_ms()),
             "%",
         ),
-    ]);
+    ]));
 
-    out.section("Fig 4: paper claims (OPT-175B)");
+    out.push_str(&section("Fig 4: paper claims (OPT-175B)"));
     let ssd1 = report_of(&r175, "SSD", 1)?;
     let dax1 = report_of(&r175, "FSDAX", 1)?;
     let ssd8 = report_of(&r175, "SSD", 8)?;
@@ -160,7 +160,7 @@ pub(super) fn fig4_llm_perf(out: &mut String) -> Result<(), Box<dyn Error>> {
     let mm1 = report_of(&r175, "MemoryMode", 1)?;
     let nv8 = report_of(&r175, "NVDRAM", 8)?;
     let mm8 = report_of(&r175, "MemoryMode", 8)?;
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "FSDAX TTFT improvement over SSD b=1",
             33.46,
@@ -207,10 +207,12 @@ pub(super) fn fig4_llm_perf(out: &mut String) -> Result<(), Box<dyn Error>> {
             },
             "%",
         ),
-    ]);
+    ]));
 
-    out.section("Fig 4e/4f: near-linear throughput scaling with batch");
-    out.comparisons(&[
+    out.push_str(&section(
+        "Fig 4e/4f: near-linear throughput scaling with batch",
+    ));
+    out.push_str(&comparisons(&[
         Comparison::new(
             "OPT-30B DRAM b=32 / b=1 throughput",
             26.0,
@@ -223,7 +225,7 @@ pub(super) fn fig4_llm_perf(out: &mut String) -> Result<(), Box<dyn Error>> {
             nv8.throughput_tps() / nv1.throughput_tps(),
             "x",
         ),
-    ]);
+    ]));
     Ok(())
 }
 
@@ -268,7 +270,7 @@ pub(super) fn fig5_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
         ("Fig 5a/5c: OPT-30B", &r30, dram_ideal_ms(&m30)?),
         ("Fig 5b/5d: OPT-175B", &r175, ideal175),
     ] {
-        out.section(title);
+        out.push_str(&section(title));
         let runs: Vec<_> = reports
             .iter()
             .map(|r| (format!("{} b={}", r.config, r.batch), r))
@@ -277,7 +279,7 @@ pub(super) fn fig5_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
         writeln!(out, "ideal all-DRAM transfer: {ideal_ms:.2} ms/layer")?;
     }
 
-    out.section("Fig 5: paper claims");
+    out.push_str(&section("Fig 5: paper claims"));
     let prefill_c = |r: &RunReport| r.avg_hidden_compute(Stage::Prefill).as_millis();
     let b1 = report_of(&r30, "DRAM", 1)?;
     let b32 = report_of(&r30, "DRAM", 32)?;
@@ -285,7 +287,7 @@ pub(super) fn fig5_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
     let mm1 = report_of(&r175, "MemoryMode", 1)?;
     let nv_xfer = nv1.avg_hidden_weight_transfer(Stage::Decode).as_millis();
     let mm_xfer = mm1.avg_hidden_weight_transfer(Stage::Decode).as_millis();
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "OPT-30B prefill compute x (b=1 -> 32)",
             15.0,
@@ -310,7 +312,7 @@ pub(super) fn fig5_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
             nv_xfer / nv1.avg_hidden_compute(Stage::Decode).as_millis(),
             "x",
         ),
-    ]);
+    ]));
     Ok(())
 }
 
@@ -335,7 +337,9 @@ pub(super) fn fig6_compression(out: &mut String) -> Result<(), Box<dyn Error>> {
     let mm_c = run(HostMemoryConfig::memory_mode(), true)?;
     let dram_c = run(HostMemoryConfig::dram(), true)?;
 
-    out.section("Fig 6: OPT-175B prefill/decode overlap with compression");
+    out.push_str(&section(
+        "Fig 6: OPT-175B prefill/decode overlap with compression",
+    ));
     let runs = [
         ("NVDIMM", &nv),
         ("NVDIMM (c)", &nv_c),
@@ -346,10 +350,10 @@ pub(super) fn fig6_compression(out: &mut String) -> Result<(), Box<dyn Error>> {
     .map(|(label, r)| (label.to_owned(), r));
     write_hidden_overlap(out, &runs);
 
-    out.section("Fig 6: paper claims");
+    out.push_str(&section("Fig 6: paper claims"));
     let xfer = |r: &RunReport| r.avg_hidden_weight_transfer(Stage::Decode).as_millis();
     let comp = |r: &RunReport| r.avg_hidden_compute(Stage::Decode).as_millis();
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new(
             "NVDIMM transfer reduction",
             72.0,
@@ -380,7 +384,7 @@ pub(super) fn fig6_compression(out: &mut String) -> Result<(), Box<dyn Error>> {
             comp(&nv_c) / comp(&nv),
             "x",
         ),
-    ]);
+    ]));
     Ok(())
 }
 
@@ -391,7 +395,9 @@ pub(super) fn fig6_compression(out: &mut String) -> Result<(), Box<dyn Error>> {
 pub(super) fn fig7_placement(out: &mut String) -> Result<(), Box<dyn Error>> {
     let model = ModelConfig::opt_175b();
 
-    out.section("Fig 7a: per-layer load latency, NVDRAM compressed (first 24 of 194)");
+    out.push_str(&section(
+        "Fig 7a: per-layer load latency, NVDRAM compressed (first 24 of 194)",
+    ));
     let report = run_serving(
         model.clone(),
         HostMemoryConfig::nvdram(),
@@ -418,27 +424,27 @@ pub(super) fn fig7_placement(out: &mut String) -> Result<(), Box<dyn Error>> {
             [0.0, 91.7, 8.3],
         ),
     ] {
-        out.section(title);
+        out.push_str(&section(title));
         let policy = Policy::paper_default(&model, memory);
         let placement = ModelPlacement::compute(&model, &policy);
         let mha = placement.distribution_for_kind(LayerKind::Mha);
         let ffn = placement.distribution_for_kind(LayerKind::Ffn);
-        out.table(
+        out.push_str(&table(
             &["layer kind", "disk %", "cpu %", "gpu %"],
             &[
                 ("MHA".to_owned(), mha.to_vec()),
                 ("FFN".to_owned(), ffn.to_vec()),
             ],
-        );
+        ));
         let achieved = placement.achieved_distribution();
-        out.comparisons(&[
+        out.push_str(&comparisons(&[
             Comparison::new("achieved disk share", expected_overall[0], achieved[0], "%"),
             Comparison::new("achieved cpu share", expected_overall[1], achieved[1], "%"),
             Comparison::new("achieved gpu share", expected_overall[2], achieved[2], "%"),
-        ]);
+        ]));
     }
 
-    out.section("Fig 7a: sawtooth magnitude");
+    out.push_str(&section("Fig 7a: sawtooth magnitude"));
     let profile = report.decode_load_profile();
     let hidden: Vec<f64> = profile
         .iter()
@@ -448,12 +454,12 @@ pub(super) fn fig7_placement(out: &mut String) -> Result<(), Box<dyn Error>> {
         .collect();
     let max = hidden.iter().cloned().fold(0.0, f64::max);
     let min = hidden.iter().cloned().fold(f64::INFINITY, f64::min);
-    out.comparisons(&[Comparison::new(
+    out.push_str(&comparisons(&[Comparison::new(
         "FFN-ridge / MHA-dip load ratio",
         2.7,
         max / min,
         "x",
-    )]);
+    )]));
     Ok(())
 }
 
@@ -491,8 +497,10 @@ pub(super) fn fig8_mha_ffn(out: &mut String) -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    out.section("Fig 8: MHA/FFN compute vs opposite-kind weight transfer (NVDRAM, compressed)");
-    out.table(
+    out.push_str(&section(
+        "Fig 8: MHA/FFN compute vs opposite-kind weight transfer (NVDRAM, compressed)",
+    ));
+    out.push_str(&table(
         &[
             "batch/stage",
             "MHA-c(ms)",
@@ -501,18 +509,20 @@ pub(super) fn fig8_mha_ffn(out: &mut String) -> Result<(), Box<dyn Error>> {
             "MHA-l(ms)",
         ],
         &rows,
-    );
+    ));
 
-    out.section("Fig 8: the imbalance (paper: MHA compute overlapped with the LARGER transfer)");
+    out.push_str(&section(
+        "Fig 8: the imbalance (paper: MHA compute overlapped with the LARGER transfer)",
+    ));
     let [(r1_mha_ffn, r1_ffn_mha), (r8_mha_ffn, r8_ffn_mha)] = ratios[..] else {
         return Err("one prefill ratio pair per batch".into());
     };
-    out.comparisons(&[
+    out.push_str(&comparisons(&[
         Comparison::new("b=1 MHA-compute/FFN-load (Table IV)", 0.36, r1_mha_ffn, "x"),
         Comparison::new("b=1 FFN-compute/MHA-load (Table IV)", 1.86, r1_ffn_mha, "x"),
         Comparison::new("b=8 MHA-compute/FFN-load (Table IV)", 0.52, r8_mha_ffn, "x"),
         Comparison::new("b=8 FFN-compute/MHA-load (Table IV)", 3.07, r8_ffn_mha, "x"),
-    ]);
+    ]));
     writeln!(
         out,
         "\nNote (paper Fig 8 caption): decode overlap at both batch sizes is nearly\n\

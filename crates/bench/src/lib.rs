@@ -109,60 +109,50 @@ impl Comparison {
     }
 }
 
-/// The report blocks every experiment writes: section headers,
-/// paper-vs-measured rows and numeric tables, appended to a `String`.
-pub trait WriteReport {
-    /// Appends a section header.
-    fn section(&mut self, title: &str);
-
-    /// Appends a block of paper-vs-measured rows with deviations.
-    fn comparisons(&mut self, rows: &[Comparison]);
-
-    /// Appends a fixed-width numeric table: header row plus rows of
-    /// (label, values).
-    fn table(&mut self, headers: &[&str], rows: &[(String, Vec<f64>)]);
+/// A section header.
+pub fn section(title: &str) -> String {
+    format!("\n== {title} ==\n{}\n", "-".repeat(title.len() + 6))
 }
 
-impl WriteReport for String {
-    fn section(&mut self, title: &str) {
-        let _ = writeln!(self, "\n== {title} ==\n{}", "-".repeat(title.len() + 6));
-    }
-
-    fn comparisons(&mut self, rows: &[Comparison]) {
+/// A block of paper-vs-measured rows with deviations.
+pub fn comparisons(rows: &[Comparison]) -> String {
+    let mut out = format!(
+        "{:<52} {:>12} {:>12} {:>8}\n",
+        "metric", "paper", "measured", "dev"
+    );
+    for row in rows {
+        let dev = match row.deviation() {
+            Some(d) => format!("{:>+7.1}%", d * 100.0),
+            None => format!("{:>8}", "n/a"),
+        };
         let _ = writeln!(
-            self,
-            "{:<52} {:>12} {:>12} {:>8}",
-            "metric", "paper", "measured", "dev"
+            out,
+            "{:<52} {:>9.2} {:>2} {:>9.2} {:>2} {dev}",
+            row.label, row.paper, row.unit, row.measured, row.unit,
         );
-        for row in rows {
-            let dev = match row.deviation() {
-                Some(d) => format!("{:>+7.1}%", d * 100.0),
-                None => format!("{:>8}", "n/a"),
-            };
-            let _ = writeln!(
-                self,
-                "{:<52} {:>9.2} {:>2} {:>9.2} {:>2} {dev}",
-                row.label, row.paper, row.unit, row.measured, row.unit,
-            );
-        }
     }
+    out
+}
 
-    fn table(&mut self, headers: &[&str], rows: &[(String, Vec<f64>)]) {
-        if let Some((first, rest)) = headers.split_first() {
-            let _ = write!(self, "{first:<28}");
-            for h in rest {
-                let _ = write!(self, " {h:>12}");
-            }
-            self.push('\n');
+/// A fixed-width numeric table: header row plus rows of (label,
+/// values).
+pub fn table(headers: &[&str], rows: &[(String, Vec<f64>)]) -> String {
+    let mut out = String::new();
+    if let Some((first, rest)) = headers.split_first() {
+        let _ = write!(out, "{first:<28}");
+        for h in rest {
+            let _ = write!(out, " {h:>12}");
         }
-        for (label, values) in rows {
-            let _ = write!(self, "{label:<28}");
-            for v in values {
-                let _ = write!(self, " {v:>12.3}");
-            }
-            self.push('\n');
-        }
+        out.push('\n');
     }
+    for (label, values) in rows {
+        let _ = write!(out, "{label:<28}");
+        for v in values {
+            let _ = write!(out, " {v:>12.3}");
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -183,9 +173,8 @@ mod tests {
             assert_eq!(zero.deviation(), None);
             assert!(!zero.within(f64::INFINITY));
         }
-        let mut out = String::new();
-        out.comparisons(&[c, Comparison::new("z", 0.0, 0.04, "%")]);
-        let lines: Vec<_> = out.lines().collect();
+        let text = comparisons(&[c, Comparison::new("z", 0.0, 0.04, "%")]);
+        let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[1].ends_with("   +20.0%"), "{}", lines[1]);
         assert!(lines[2].ends_with("      n/a"), "{}", lines[2]);
