@@ -47,11 +47,6 @@ pub(crate) const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("platform_sensitivity", extensions::platform_sensitivity),
 ];
 
-/// Every experiment's name, in registry order.
-pub fn experiment_names() -> impl Iterator<Item = &'static str> {
-    EXPERIMENTS.iter().map(|&(name, _)| name)
-}
-
 /// The reports of the named experiments, in the order given, or of
 /// every experiment in registry order when `names` is empty. Each
 /// report follows a banner naming its experiment.
@@ -120,7 +115,7 @@ mod tests {
         assert!(err.contains("unknown experiment `nope`"), "{err}");
         assert!(err.contains("fails, hello"), "{err}");
         let err = run_experiments(&["nope"]).unwrap_err().to_string();
-        for name in experiment_names() {
+        for (name, _) in EXPERIMENTS {
             assert!(err.contains(name), "{name} missing from `{err}`");
         }
     }
@@ -137,11 +132,10 @@ mod tests {
 
     #[test]
     fn no_names_render_every_experiment_in_registry_order() {
-        let names: Vec<_> = experiment_names().collect();
-        assert_eq!(names.len(), 24);
+        assert_eq!(EXPERIMENTS.len(), 24);
         let text = run_experiments::<&str>(&[]).unwrap();
         let mut rest = text.as_str();
-        for name in names {
+        for (name, _) in EXPERIMENTS {
             let at = rest.find(&banner(name)).unwrap_or_else(|| panic!("{name}"));
             rest = &rest[at + banner(name).len()..];
         }

@@ -50,9 +50,9 @@ fn report_of<'a>(
         .ok_or_else(|| format!("report {config:?} b={batch} missing"))
 }
 
-/// Appends each run's average hidden-layer weight transfer and
+/// A table of each run's average hidden-layer weight transfer and
 /// compute, prefill rows first.
-fn write_hidden_overlap(out: &mut String, runs: &[(String, &RunReport)]) {
+fn hidden_overlap(runs: &[(String, &RunReport)]) -> String {
     let mut rows = Vec::new();
     for stage in [Stage::Prefill, Stage::Decode] {
         for (label, r) in runs {
@@ -65,7 +65,7 @@ fn write_hidden_overlap(out: &mut String, runs: &[(String, &RunReport)]) {
             ));
         }
     }
-    out.push_str(&table(&["config/stage", "xfer(ms)", "compute(ms)"], &rows));
+    table(&["config/stage", "xfer(ms)", "compute(ms)"], &rows)
 }
 
 /// Figure 4: TTFT, TBT, and throughput for OPT-30B (batch 1 and 32)
@@ -275,7 +275,7 @@ pub(super) fn fig5_overlap(out: &mut String) -> Result<(), Box<dyn Error>> {
             .iter()
             .map(|r| (format!("{} b={}", r.config, r.batch), r))
             .collect();
-        write_hidden_overlap(out, &runs);
+        out.push_str(&hidden_overlap(&runs));
         writeln!(out, "ideal all-DRAM transfer: {ideal_ms:.2} ms/layer")?;
     }
 
@@ -348,7 +348,7 @@ pub(super) fn fig6_compression(out: &mut String) -> Result<(), Box<dyn Error>> {
         ("DRAM (c)", &dram_c),
     ]
     .map(|(label, r)| (label.to_owned(), r));
-    write_hidden_overlap(out, &runs);
+    out.push_str(&hidden_overlap(&runs));
 
     out.push_str(&section("Fig 6: paper claims"));
     let xfer = |r: &RunReport| r.avg_hidden_weight_transfer(Stage::Decode).as_millis();

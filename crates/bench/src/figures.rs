@@ -195,7 +195,6 @@ fn overlap_rows(runs: &[(String, RunReport)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment_names;
     use std::path::{Path, PathBuf};
 
     fn output_dir() -> PathBuf {
@@ -217,10 +216,9 @@ mod tests {
             if let Some(e) = failure {
                 let _ = writeln!(text, "error: {e}");
             }
-            let text = &text;
             let committed = std::fs::read_to_string(dir.join(&name))
                 .unwrap_or_else(|e| format!("<unreadable: {e}>"));
-            if committed == *text {
+            if committed == text {
                 continue;
             }
             let line = committed
@@ -233,7 +231,7 @@ mod tests {
                 "{name}: line {}: committed `{}`, regenerated `{}`",
                 line + 1,
                 at(&committed),
-                at(text)
+                at(&text)
             ));
         }
         assert!(
@@ -254,8 +252,9 @@ mod tests {
             .map(|name| name.to_string_lossy().into_owned())
             .collect();
         pinned.sort();
-        let mut registered: Vec<String> = experiment_names()
-            .map(|name| format!("{name}.txt"))
+        let mut registered: Vec<String> = EXPERIMENTS
+            .iter()
+            .map(|(name, _)| format!("{name}.txt"))
             .collect();
         registered.sort();
         assert_eq!(pinned, registered);

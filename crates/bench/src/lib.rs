@@ -31,7 +31,7 @@ use workload::WorkloadSpec;
 
 mod experiments;
 mod figures;
-pub use experiments::{experiment_names, run_experiments};
+pub use experiments::run_experiments;
 pub use figures::figure_data;
 
 /// The paper's platform (Table I) serving `model` from `memory`,
