@@ -60,6 +60,7 @@ pub fn run_experiments<S: AsRef<str>>(names: &[S]) -> Result<String, Box<dyn Err
     render(EXPERIMENTS, names)
 }
 
+/// [`run_experiments`] over `registry`, which the tests replace.
 fn render<S: AsRef<str>>(
     registry: &[(&'static str, Experiment)],
     names: &[S],
